@@ -108,8 +108,8 @@ struct AccumOp {
 
 // ---------------------------------------------------------------- kernels ---
 
-/// Fresh-allocation path (the engine's historical behaviour): every call
-/// rebuilds the frontier and allocates its own scratch (ws == nullptr).
+/// Fresh-allocation path: every call rebuilds the frontier and runs with a
+/// new TraversalWorkspace, so all scratch is allocated per call.
 void run_layout(benchmark::State& state, engine::Layout layout,
                 engine::AtomicsMode atomics) {
   const auto& g = micro_graph();
@@ -122,7 +122,8 @@ void run_layout(benchmark::State& state, engine::Layout layout,
   for (auto _ : state) {
     const std::uint64_t before = allocs_now();
     Frontier all = Frontier::all(g.num_vertices(), &g.csr());
-    engine::edge_map(g, all, AccumOp{acc.data(), x.data()}, opts);
+    engine::TraversalWorkspace ws;
+    engine::edge_map(g, all, AccumOp{acc.data(), x.data()}, ws, opts);
     benchmark::DoNotOptimize(acc.data());
     allocs += allocs_now() - before;
   }
@@ -226,13 +227,19 @@ void BM_SparsePush(benchmark::State& state) {
   std::vector<double> x(g.num_vertices(), 1.0);
   std::vector<vid_t> verts;
   for (vid_t v = 0; v < g.num_vertices(); v += 97) verts.push_back(v);
+  std::uint64_t allocs = 0;
   for (auto _ : state) {
+    const std::uint64_t before = allocs_now();
     Frontier f = Frontier::from_vertices(g.num_vertices(), verts, &g.csr());
     AccumOp op{acc.data(), x.data()};
     eid_t edges = 0;
-    engine::traverse_csr_sparse(g, f, op, &edges);
+    engine::TraversalWorkspace ws;
+    engine::traverse_csr_sparse(g, f, op, &edges, ws);
     benchmark::DoNotOptimize(edges);
+    allocs += allocs_now() - before;
   }
+  state.counters["allocs/iter"] = benchmark::Counter(
+      static_cast<double>(allocs) / static_cast<double>(state.iterations()));
 }
 BENCHMARK(BM_SparsePush);
 
@@ -249,7 +256,7 @@ void BM_SparsePush_Reused(benchmark::State& state) {
     const std::uint64_t before = allocs_now();
     AccumOp op{acc.data(), x.data()};
     eid_t edges = 0;
-    Frontier next = engine::traverse_csr_sparse(g, f, op, &edges, &ws);
+    Frontier next = engine::traverse_csr_sparse(g, f, op, &edges, ws);
     next.into_workspace(ws);
     benchmark::DoNotOptimize(edges);
     allocs += allocs_now() - before;
@@ -275,12 +282,18 @@ void BM_FrontierDenseToSparse(benchmark::State& state) {
   const vid_t n = 1 << 20;
   Bitmap bits(n);
   for (vid_t v = 0; v < n; v += 3) bits.set(v);
+  std::uint64_t allocs = 0;
   for (auto _ : state) {
+    const std::uint64_t before = allocs_now();
     Bitmap copy = bits;
     Frontier f = Frontier::from_bitmap(std::move(copy));
-    f.to_sparse();
+    engine::TraversalWorkspace ws;
+    f.to_sparse(ws);
     benchmark::DoNotOptimize(f.vertices().data());
+    allocs += allocs_now() - before;
   }
+  state.counters["allocs/iter"] = benchmark::Counter(
+      static_cast<double>(allocs) / static_cast<double>(state.iterations()));
 }
 BENCHMARK(BM_FrontierDenseToSparse);
 

@@ -10,20 +10,20 @@ vid_t round_up_64(vid_t v, vid_t n) {
 }
 }  // namespace
 
-std::vector<VertexChunk> make_uniform_chunks(vid_t n, vid_t chunk) {
+std::vector<VertexRange> make_uniform_chunks(vid_t n, vid_t chunk) {
   chunk = std::max<vid_t>(64, (chunk / 64) * 64);  // multiple of 64 ≥ 64
-  std::vector<VertexChunk> out;
+  std::vector<VertexRange> out;
   for (vid_t v = 0; v < n; v += chunk)
     out.push_back({v, std::min<vid_t>(n, v + chunk)});
   if (out.empty()) out.push_back({0, n});
   return out;
 }
 
-std::vector<VertexChunk> make_edge_balanced_chunks(const graph::Csr& adj,
+std::vector<VertexRange> make_edge_balanced_chunks(const graph::Csr& adj,
                                                    eid_t target_edges) {
   const vid_t n = adj.num_vertices();
   const auto offsets = adj.offsets();
-  std::vector<VertexChunk> out;
+  std::vector<VertexRange> out;
   if (n == 0) {
     out.push_back({0, 0});
     return out;
@@ -43,9 +43,9 @@ std::vector<VertexChunk> make_edge_balanced_chunks(const graph::Csr& adj,
   return out;
 }
 
-std::vector<VertexChunk> make_partitioned_uniform_chunks(vid_t n, int parts,
+std::vector<VertexRange> make_partitioned_uniform_chunks(vid_t n, int parts,
                                                          vid_t chunk) {
-  std::vector<VertexChunk> out;
+  std::vector<VertexRange> out;
   if (parts < 1) parts = 1;
   chunk = std::max<vid_t>(64, (chunk / 64) * 64);
   vid_t prev = 0;

@@ -17,8 +17,11 @@
 
 #include <vector>
 
+#include "engine/direction.hpp"
 #include "engine/operators.hpp"
+#include "engine/traverse_csc.hpp"
 #include "engine/traverse_csr.hpp"
+#include "engine/workspace.hpp"
 #include "frontier/frontier.hpp"
 #include "graph/graph.hpp"
 #include "sys/bitmap.hpp"
@@ -26,88 +29,49 @@
 
 namespace grind::baselines {
 
-/// A contiguous vertex range processed as one schedulable task.
-struct VertexChunk {
-  vid_t begin = 0;
-  vid_t end = 0;
-};
+using engine::Direction;
 
 /// Uniform chunks of `chunk` vertices (rounded to 64) covering [0, n).
-std::vector<VertexChunk> make_uniform_chunks(vid_t n, vid_t chunk);
+std::vector<VertexRange> make_uniform_chunks(vid_t n, vid_t chunk);
 
 /// Chunks covering [0, n) such that each holds ≈ `target_edges` edges of the
 /// given adjacency (degree = offsets[v+1]-offsets[v]); boundaries rounded up
 /// to multiples of 64.
-std::vector<VertexChunk> make_edge_balanced_chunks(const graph::Csr& adj,
+std::vector<VertexRange> make_edge_balanced_chunks(const graph::Csr& adj,
                                                    eid_t target_edges);
 
 /// Split [0, n) into `parts` vertex-balanced ranges first (the NUMA
 /// partitions), then chunk each range uniformly — Polymer's scheme.
-std::vector<VertexChunk> make_partitioned_uniform_chunks(vid_t n, int parts,
+std::vector<VertexRange> make_partitioned_uniform_chunks(vid_t n, int parts,
                                                          vid_t chunk);
-
-/// Dense backward traversal over the whole CSC with an explicit chunk list;
-/// single-writer destinations, no atomics.
-template <engine::EdgeOperator Op>
-Frontier dense_backward_chunked(const graph::Graph& g, Frontier& f, Op& op,
-                                const std::vector<VertexChunk>& chunks) {
-  f.to_dense();
-  const auto& csc = g.csc();
-  const Bitmap& in = f.bitmap();
-  Bitmap next(g.num_vertices());
-
-  parallel_for_dynamic(0, chunks.size(), [&](std::size_t c) {
-    const VertexChunk r = chunks[c];
-    for (vid_t d = r.begin; d < r.end; ++d) {
-      if (!op.cond(d)) continue;
-      const auto neigh = csc.neighbors(d);
-      const auto ws = csc.weights(d);
-      for (std::size_t j = 0; j < neigh.size(); ++j) {
-        const vid_t s = neigh[j];
-        if (!in.get(s)) continue;
-        if (op.update(s, d, ws[j])) next.set(d);
-        if (!op.cond(d)) break;
-      }
-    }
-  });
-
-  Frontier out = Frontier::from_bitmap(std::move(next));
-  out.recount(&g.csr());
-  return out;
-}
-
-/// Transpose analogue: gather per source vertex v over v's out-edges; active
-/// successors contribute to v.  Single writer per v.
-template <engine::EdgeOperator Op>
-Frontier dense_transpose_chunked(const graph::Graph& g, Frontier& f, Op& op,
-                                 const std::vector<VertexChunk>& chunks) {
-  f.to_dense();
-  const auto& csr = g.csr();
-  const Bitmap& in = f.bitmap();
-  Bitmap next(g.num_vertices());
-
-  parallel_for_dynamic(0, chunks.size(), [&](std::size_t c) {
-    const VertexChunk r = chunks[c];
-    for (vid_t v = r.begin; v < r.end; ++v) {
-      if (!op.cond(v)) continue;
-      const auto neigh = csr.neighbors(v);
-      const auto ws = csr.weights(v);
-      for (std::size_t j = 0; j < neigh.size(); ++j) {
-        const vid_t u = neigh[j];
-        if (!in.get(u)) continue;
-        if (op.update(u, v, ws[j])) next.set(v);
-        if (!op.cond(v)) break;
-      }
-    }
-  });
-
-  Frontier out = Frontier::from_bitmap(std::move(next));
-  out.recount(&g.csc());
-  return out;
-}
 
 /// The Ligra direction decision all three baselines share: dense when
 /// |F| + Σ deg⁺ exceeds |E|/20 (Ligra's threshold), else the sparse push.
 [[nodiscard]] bool ligra_is_dense(eid_t weight, eid_t m);
+
+/// One baseline edge map in direction D: the engine's sparse push below
+/// Ligra's threshold, else the gather over D's gather index with an explicit
+/// chunk list (single-writer destinations, no atomics; 64-aligned chunks
+/// keep bitmap words single-writer).
+template <Direction D, engine::EdgeOperator Op>
+Frontier chunked_edge_map(const graph::Graph& g, Frontier& f, Op& op,
+                          const std::vector<VertexRange>& chunks,
+                          engine::TraversalWorkspace& ws) {
+  if (f.empty()) return Frontier::empty(g.num_vertices());
+  if (!ligra_is_dense(engine::direction_weight<D>(g, f), g.num_edges()))
+    return engine::traverse_csr_sparse<D>(g, f, op, nullptr, ws);
+
+  f.to_dense(ws);
+  const graph::Csr& adj = engine::gather_index<D>(g);
+  const Bitmap& in = f.bitmap();
+  Bitmap next = ws.acquire_bitmap(g.num_vertices());
+  parallel_for_dynamic(0, chunks.size(), [&](std::size_t c) {
+    engine::gather_range(adj, in, op, chunks[c], BitSetter<false>{&next},
+                         /*prefetch=*/false);
+  });
+  Frontier out = Frontier::from_bitmap(std::move(next));
+  out.recount(&engine::push_index<D>(g));
+  return out;
+}
 
 }  // namespace grind::baselines

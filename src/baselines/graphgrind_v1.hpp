@@ -8,10 +8,8 @@
 #pragma once
 
 #include "baselines/chunked.hpp"
-#include "engine/edge_map_transpose.hpp"
 #include "engine/operators.hpp"
 #include "engine/options.hpp"
-#include "engine/traverse_csr.hpp"
 #include "engine/vertex_map.hpp"
 #include "frontier/frontier.hpp"
 #include "graph/graph.hpp"
@@ -39,22 +37,14 @@ class GraphGrindV1Engine {
 
   template <engine::EdgeOperator Op>
   Frontier edge_map(Frontier& f, Op op) {
-    if (f.empty()) return Frontier::empty(g_->num_vertices());
-    eid_t edges = 0;
-    if (ligra_is_dense(f.traversal_weight(), g_->num_edges()))
-      return dense_backward_chunked(*g_, f, op, backward_chunks_);
-    return engine::traverse_csr_sparse(*g_, f, op, &edges, &ws_);
+    return chunked_edge_map<Direction::kForward>(*g_, f, op,
+                                                 backward_chunks_, ws_);
   }
 
   template <engine::EdgeOperator Op>
   Frontier edge_map_transpose(Frontier& f, Op op) {
-    if (f.empty()) return Frontier::empty(g_->num_vertices());
-    Frontier weigh = f;
-    weigh.recount(&g_->csc());
-    eid_t edges = 0;
-    if (ligra_is_dense(weigh.traversal_weight(), g_->num_edges()))
-      return dense_transpose_chunked(*g_, f, op, forward_chunks_);
-    return engine::traverse_transpose_sparse(*g_, f, op, &edges, &ws_);
+    return chunked_edge_map<Direction::kTranspose>(*g_, f, op,
+                                                   forward_chunks_, ws_);
   }
 
   template <typename Fn>
@@ -64,10 +54,10 @@ class GraphGrindV1Engine {
 
  private:
   const graph::Graph* g_;
-  std::vector<VertexChunk> backward_chunks_;  // edge-balanced over CSC
-  std::vector<VertexChunk> forward_chunks_;   // edge-balanced over CSR
+  std::vector<VertexRange> backward_chunks_;  // edge-balanced over CSC
+  std::vector<VertexRange> forward_chunks_;   // edge-balanced over CSR
   engine::Orientation orientation_ = engine::Orientation::kEdge;
-  engine::TraversalWorkspace ws_;  // reusable sparse-kernel scratch
+  engine::TraversalWorkspace ws_;  // reusable kernel scratch
 };
 
 }  // namespace grind::baselines

@@ -12,10 +12,8 @@
 #pragma once
 
 #include "baselines/chunked.hpp"
-#include "engine/edge_map_transpose.hpp"
 #include "engine/operators.hpp"
 #include "engine/options.hpp"
-#include "engine/traverse_csr.hpp"
 #include "engine/vertex_map.hpp"
 #include "frontier/frontier.hpp"
 #include "graph/graph.hpp"
@@ -37,23 +35,12 @@ class LigraEngine {
 
   template <engine::EdgeOperator Op>
   Frontier edge_map(Frontier& f, Op op) {
-    if (f.empty()) return Frontier::empty(g_->num_vertices());
-    eid_t edges = 0;
-    if (ligra_is_dense(f.traversal_weight(), g_->num_edges()))
-      return dense_backward_chunked(*g_, f, op, chunks_);
-    return engine::traverse_csr_sparse(*g_, f, op, &edges, &ws_);
+    return chunked_edge_map<Direction::kForward>(*g_, f, op, chunks_, ws_);
   }
 
   template <engine::EdgeOperator Op>
   Frontier edge_map_transpose(Frontier& f, Op op) {
-    if (f.empty()) return Frontier::empty(g_->num_vertices());
-    // Weight against in-degrees (transpose out-degrees).
-    Frontier weigh = f;
-    weigh.recount(&g_->csc());
-    eid_t edges = 0;
-    if (ligra_is_dense(weigh.traversal_weight(), g_->num_edges()))
-      return dense_transpose_chunked(*g_, f, op, chunks_);
-    return engine::traverse_transpose_sparse(*g_, f, op, &edges, &ws_);
+    return chunked_edge_map<Direction::kTranspose>(*g_, f, op, chunks_, ws_);
   }
 
   template <typename Fn>
@@ -66,9 +53,9 @@ class LigraEngine {
 
  private:
   const graph::Graph* g_;
-  std::vector<VertexChunk> chunks_;
+  std::vector<VertexRange> chunks_;
   engine::Orientation orientation_ = engine::Orientation::kEdge;
-  engine::TraversalWorkspace ws_;  // reusable sparse-kernel scratch
+  engine::TraversalWorkspace ws_;  // reusable kernel scratch
 };
 
 }  // namespace grind::baselines

@@ -261,27 +261,17 @@ class DomainScheduleCache {
 /// once, home-domain threads first, gated stealing for load balance.
 /// `owner` is the graph the items belong to (cache-key half alongside
 /// `token`, the item container's address).  `cache` (normally
-/// &ws->domain_schedules()) reuses prepared schedules; nullptr builds a
-/// throwaway one, matching the kernels' historical allocate-per-call
-/// behaviour when no workspace is supplied.
+/// ws.domain_schedules()) reuses prepared schedules.
 template <typename DomainOf, typename Body>
 AffineCounts affine_for(const NumaModel& numa, const void* owner,
                         const void* token, std::size_t n,
-                        DomainScheduleCache* cache, DomainOf&& domain_of,
+                        DomainScheduleCache& cache, DomainOf&& domain_of,
                         Body&& body) {
   if (n == 0) return {};
   const int nt = std::max(1, num_threads());
   const int pref = preferred_domain();
-  DomainSchedule local;
-  DomainSchedule* sched;
-  if (cache != nullptr) {
-    sched = &cache->get(numa, owner, token, n, nt, pref,
-                        std::forward<DomainOf>(domain_of));
-  } else {
-    local.prepare(numa, owner, token, n, nt, pref,
-                  std::forward<DomainOf>(domain_of));
-    sched = &local;
-  }
+  DomainSchedule* sched = &cache.get(numa, owner, token, n, nt, pref,
+                                     std::forward<DomainOf>(domain_of));
   if (!sched->serial()) return sched->run(std::forward<Body>(body));
 
   // Serial traversal (1-thread budget or a single item): claim-free plain

@@ -8,13 +8,15 @@
 // "The distinction of forward vs. backward graph traversal folds into this
 // decision and need no longer be specified by the programmer" (abstract):
 // callers provide one operator with update / update_atomic / cond and the
-// engine picks direction, layout and atomics policy.
+// engine picks direction, layout and atomics policy.  The same decision and
+// kernels serve the transposed graph (engine/direction.hpp).
 //
 // Options::layout can force a layout for the non-sparse iterations (sparse
 // frontiers always use the unpartitioned CSR, which every configuration in
 // the paper keeps, §III-A1) — this reproduces the Fig 5/6 curves.
 #pragma once
 
+#include "engine/direction.hpp"
 #include "engine/operators.hpp"
 #include "engine/options.hpp"
 #include "engine/traverse_coo.hpp"
@@ -105,30 +107,36 @@ inline bool decide_atomics(const graph::Graph& g, const Options& opts) {
          static_cast<part_t>(num_threads());
 }
 
-/// Apply `op` to the out-edges of the active vertices of `f`; returns the
-/// new frontier of vertices whose update returned true.
+/// Apply `op` to the out-edges (in direction D) of the active vertices of
+/// `f`; returns the new frontier of vertices whose update returned true.
 ///
 /// `f` is taken by mutable reference because the engine may convert its
 /// representation (sparse list ↔ bitmap) in place; its logical content is
-/// unchanged.
+/// unchanged.  `ws` supplies all transient kernel state (next-frontier
+/// bitmap, per-thread buffers, edge counters, schedules) from reusable
+/// pools, so steady-state iterations of a traversal loop perform no heap
+/// allocation.
 ///
-/// `ws`, when non-null, supplies all transient kernel state (next-frontier
-/// bitmap, per-thread buffers, edge counters) from reusable pools so that
-/// steady-state iterations of a traversal loop perform no heap allocation.
-/// With ws == nullptr every call allocates fresh scratch, matching the
-/// historical behaviour.
-template <EdgeOperator Op>
+/// Direction::kTranspose runs the same decision with the frontier weighed
+/// against in-degrees.  Its non-sparse frontiers always take the backward
+/// gather: the partitioned layouts are partitioned by original destination,
+/// which is the *reader* side under reversed flow, so a forced kDenseCoo,
+/// kPartitionedCsr or kPcpm degrades to the single-writer gather.
+template <Direction D = Direction::kForward, EdgeOperator Op>
 Frontier edge_map(const graph::Graph& g, Frontier& f, Op op,
-                  const Options& opts = {}, TraversalStats* stats = nullptr,
-                  TraversalWorkspace* ws = nullptr) {
+                  TraversalWorkspace& ws, const Options& opts = {},
+                  TraversalStats* stats = nullptr) {
   const sys::CancelToken* token = opts.cancel.get();
   poll_cancel(token);
   if (f.empty()) return Frontier::empty(g.num_vertices());
 
-  const bool pcpm_capable = ScatterGatherOperator<Op> && g.has_pcpm_bins();
-  const TraversalKind kind = decide_traversal(f.traversal_weight(),
-                                              g.num_edges(), opts,
-                                              pcpm_capable);
+  constexpr bool kForward = D == Direction::kForward;
+  const bool pcpm_capable =
+      kForward && ScatterGatherOperator<Op> && g.has_pcpm_bins();
+  TraversalKind kind = decide_traversal(direction_weight<D>(g, f),
+                                        g.num_edges(), opts, pcpm_capable);
+  if (!kForward && kind != TraversalKind::kSparseCsr)
+    kind = TraversalKind::kBackwardCsc;
   const bool atomics = decide_atomics(g, opts);
 
   Timer timer;
@@ -139,16 +147,16 @@ Frontier edge_map(const graph::Graph& g, Frontier& f, Op op,
   AffineCounts affinity;  // home/stolen split of the partition schedulers
   switch (kind) {
     case TraversalKind::kSparseCsr:
-      out = traverse_csr_sparse(g, f, op, &edges, ws, opts.prefetch);
-      used_atomics = true;  // sparse forward inherently uses update_atomic
+      out = traverse_csr_sparse<D>(g, f, op, &edges, ws, opts.prefetch);
+      used_atomics = true;  // the sparse push inherently uses update_atomic
       break;
     case TraversalKind::kBackwardCsc: {
       const auto& ranges =
           opts.csc_balance == partition::BalanceMode::kVertices
               ? g.partitioning_vertices()
               : g.partitioning_edges();
-      out = traverse_csc_backward(g, f, op, ranges, &edges, ws, &affinity,
-                                  token, opts.prefetch);
+      out = traverse_csc_backward<D>(g, f, op, ranges, &edges, ws, &affinity,
+                                     token, opts.prefetch);
       used_atomics = false;  // backward is single-writer by construction
       break;
     }

@@ -8,7 +8,6 @@
 #include <string>
 
 #include "engine/edge_map.hpp"
-#include "engine/edge_map_transpose.hpp"
 #include "engine/operators.hpp"
 #include "engine/options.hpp"
 #include "engine/vertex_map.hpp"
@@ -31,14 +30,15 @@ class Engine {
   Engine(const graph::Graph& g, Options opts, TraversalWorkspace& ws)
       : graph_(&g), opts_(opts), external_ws_(&ws) {}
 
-  /// Apply an edge operator to the active out-edges of f (Algorithm 2).
+  /// Apply an edge operator to the active out-edges (in direction D) of f
+  /// (Algorithm 2).
   /// Scratch state comes from the engine's workspace, so iterative callers
   /// that recycle() retired frontiers run allocation-free at steady state.
-  template <EdgeOperator Op>
+  template <Direction D = Direction::kForward, EdgeOperator Op>
   Frontier edge_map(Frontier& f, Op op) {
-    Frontier out = engine::edge_map(*graph_, f, std::move(op), opts_,
-                                    opts_.collect_stats ? &stats_ : nullptr,
-                                    &workspace());
+    Frontier out = engine::edge_map<D>(*graph_, f, std::move(op), workspace(),
+                                       opts_,
+                                       opts_.collect_stats ? &stats_ : nullptr);
     ++sweeps_done_;
     return out;
   }
@@ -46,12 +46,7 @@ class Engine {
   /// Apply an edge operator over the transposed graph (data flows d→s).
   template <EdgeOperator Op>
   Frontier edge_map_transpose(Frontier& f, Op op) {
-    Frontier out =
-        engine::edge_map_transpose(*graph_, f, std::move(op), opts_,
-                                   opts_.collect_stats ? &stats_ : nullptr,
-                                   &workspace());
-    ++sweeps_done_;
-    return out;
+    return edge_map<Direction::kTranspose>(f, std::move(op));
   }
 
   /// Poll the options' cancellation token; throws sys::Cancelled when it has

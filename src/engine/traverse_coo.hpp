@@ -8,7 +8,8 @@
 //   * no-atomics: one task per partition.  Partitioning-by-destination makes
 //     every partition's update set disjoint, and 64-vertex-aligned partition
 //     boundaries keep next-frontier bitmap words single-writer, so plain
-//     loads/stores suffice (§III-C).
+//     loads/stores suffice (§III-C).  A partitioning built with a smaller
+//     alignment sets next-frontier bits atomically instead.
 //   * atomics: each partition's edge range is split into fixed-size chunks
 //     (providing intra-partition parallelism when P < threads); chunks of
 //     the same partition may update a destination concurrently, requiring
@@ -41,38 +42,40 @@ namespace grind::engine {
 template <EdgeOperator Op>
 Frontier traverse_coo(const graph::Graph& g, Frontier& f, Op& op,
                       bool use_atomics, eid_t* edges_examined,
-                      TraversalWorkspace* ws = nullptr,
+                      TraversalWorkspace& ws,
                       AffineCounts* affinity = nullptr,
                       const sys::CancelToken* cancel = nullptr) {
   f.to_dense(ws);
   const auto& coo = g.coo();
   const NumaModel& numa = g.numa();
-  DomainScheduleCache* sched =
-      ws != nullptr ? &ws->domain_schedules() : nullptr;
+  DomainScheduleCache& sched = ws.domain_schedules();
   const Bitmap& in = f.bitmap();
-  Bitmap next =
-      ws != nullptr ? ws->acquire_bitmap(g.num_vertices()) : Bitmap(g.num_vertices());
+  Bitmap next = ws.acquire_bitmap(g.num_vertices());
 
   if (edges_examined != nullptr) *edges_examined = coo.num_edges();
 
   AffineCounts counts;
   const part_t np = coo.num_partitions();
   if (!use_atomics) {
-    counts = affine_for(
-        numa, /*owner=*/&g, /*token=*/&coo, np, sched,
-        [&](std::size_t p) {
-          return numa.domain_of_partition(static_cast<part_t>(p), np);
-        },
-        [&](std::size_t p) {
-          if (cancel != nullptr && cancel->should_stop()) return std::uint64_t{0};
-          const auto es = coo.edges(static_cast<part_t>(p));
-          for (const Edge& e : es) {
-            if (in.get(e.src) && op.cond(e.dst) &&
-                op.update(e.src, e.dst, e.weight)) {
-              next.set(e.dst);
-            }
-          }
-          return static_cast<std::uint64_t>(es.size());
+    counts = with_bit_setter(
+        next, !g.partitioning_edges().word_aligned(), [&](auto mark) {
+          return affine_for(
+              numa, /*owner=*/&g, /*token=*/&coo, np, sched,
+              [&](std::size_t p) {
+                return numa.domain_of_partition(static_cast<part_t>(p), np);
+              },
+              [&](std::size_t p) {
+                if (cancel != nullptr && cancel->should_stop())
+                  return std::uint64_t{0};
+                const auto es = coo.edges(static_cast<part_t>(p));
+                for (const Edge& e : es) {
+                  if (in.get(e.src) && op.cond(e.dst) &&
+                      op.update(e.src, e.dst, e.weight)) {
+                    mark(e.dst);
+                  }
+                }
+                return static_cast<std::uint64_t>(es.size());
+              });
         });
   } else {
     // (partition, edge sub-range) work items, cached at layout build time;

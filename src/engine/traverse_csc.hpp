@@ -1,5 +1,6 @@
 // Medium-dense backward traversal (Algorithm 2, line 4): the whole-graph CSC
-// with a *partitioned computation range*.
+// with a *partitioned computation range*.  The transposed direction gathers
+// over the whole-graph CSR the same way, per original source vertex.
 //
 // Partitioning-by-destination leaves CSC edge order unchanged (§II-C), so
 // the index is unpartitioned; what is partitioned is the iteration space:
@@ -13,6 +14,7 @@
 // of Beamer et al. that makes backward traversal cheap on dense frontiers).
 #pragma once
 
+#include "engine/direction.hpp"
 #include "engine/domain_sched.hpp"
 #include "engine/operators.hpp"
 #include "engine/workspace.hpp"
@@ -52,63 +54,78 @@ inline const std::vector<VertexRange>& csc_sub_chunks(
 /// slots ahead is prefetched while the current edges are applied.
 inline constexpr std::size_t kCscPrefetchDist = 8;
 
-template <EdgeOperator Op>
+/// Gather into the destinations of `r` over the in-edges `adj` holds: per
+/// destination d with cond(d), apply every edge from an active source and
+/// stop once cond(d) turns false; `mark(d)` records activations.  Returns
+/// the edges examined.  d is the only writer of its own state, so the
+/// updates need no atomics; the baseline engines share this loop.
+template <EdgeOperator Op, typename Mark>
+eid_t gather_range(const graph::Csr& adj, const Bitmap& in, Op& op,
+                   VertexRange r, Mark mark, bool prefetch) {
+  const std::uint64_t* in_words = in.words();
+  eid_t edges = 0;
+  for (vid_t d = r.begin; d < r.end; ++d) {
+    if (!op.cond(d)) continue;
+    const auto neigh = adj.neighbors(d);
+    const auto wts = adj.weights(d);
+    for (std::size_t j = 0; j < neigh.size(); ++j) {
+      ++edges;
+      if (prefetch && j + kCscPrefetchDist < neigh.size())
+        __builtin_prefetch(&in_words[neigh[j + kCscPrefetchDist] >> 6]);
+      const vid_t s = neigh[j];
+      if (!in.get(s)) continue;
+      if (op.update(s, d, wts[j])) mark(d);
+      if (!op.cond(d)) break;  // destination saturated; skip remaining
+    }
+  }
+  return edges;
+}
+
+/// Direction D picks the gather index (engine/direction.hpp): forward
+/// gathers over CSC in-edges, transposed over CSR out-edges.  Either way
+/// the work items are the sub-chunks of `ranges`.  `cancel`, when non-null,
+/// is polled once per sub-chunk; a fired token drains the sweep (see
+/// traverse_coo.hpp).
+template <Direction D = Direction::kForward, EdgeOperator Op>
 Frontier traverse_csc_backward(const graph::Graph& g, Frontier& f, Op& op,
                                const partition::Partitioning& ranges,
-                               eid_t* edges_examined,
-                               TraversalWorkspace* ws = nullptr,
+                               eid_t* edges_examined, TraversalWorkspace& ws,
                                AffineCounts* affinity = nullptr,
                                const sys::CancelToken* cancel = nullptr,
                                bool prefetch = false) {
   f.to_dense(ws);
-  const auto& csc = g.csc();
+  const graph::Csr& adj = gather_index<D>(g);
   const NumaModel& numa = g.numa();
   const Bitmap& in = f.bitmap();
-  const std::uint64_t* in_words = in.words();
-  Bitmap next =
-      ws != nullptr ? ws->acquire_bitmap(g.num_vertices()) : Bitmap(g.num_vertices());
+  Bitmap next = ws.acquire_bitmap(g.num_vertices());
   const std::vector<VertexRange>& chunks = ranges.sub_chunks();
-  std::vector<eid_t> local_counts;
-  std::vector<eid_t>& edge_counts = ws != nullptr
-                                        ? ws->edge_counters(chunks.size())
-                                        : local_counts;
-  if (ws == nullptr) local_counts.assign(chunks.size(), 0);
+  auto& edge_counts = ws.edge_counters(chunks.size());
 
   // Chunks come from `ranges` (the balance criterion of the running
   // algorithm); their domains come from the edge-balanced partitioning the
-  // CSC pages were placed by.
+  // CSR/CSC pages were placed by.  Sub-chunks start at partition
+  // boundaries, so they share bitmap words unless those are word-aligned.
   const partition::Partitioning& storage_parts = g.partitioning_edges();
-  const AffineCounts counts = affine_for(
-      numa, /*owner=*/&g, /*token=*/&chunks, chunks.size(),
-      ws != nullptr ? &ws->domain_schedules() : nullptr,
-      [&](std::size_t c) {
-        return csc_chunk_domain(storage_parts, numa, chunks[c]);
-      },
-      [&](std::size_t c) {
-        // Fired token: drain the sweep without work; edge_map re-checks and
-        // discards the partial frontier (bodies must not throw here).
-        if (cancel != nullptr && cancel->should_stop()) {
-          edge_counts[c] = 0;
-          return std::uint64_t{0};
-        }
-        const VertexRange r = chunks[c];
-        eid_t local_edges = 0;
-        for (vid_t d = r.begin; d < r.end; ++d) {
-          if (!op.cond(d)) continue;
-          const auto neigh = csc.neighbors(d);
-          const auto wts = csc.weights(d);
-          for (std::size_t j = 0; j < neigh.size(); ++j) {
-            ++local_edges;
-            if (prefetch && j + kCscPrefetchDist < neigh.size())
-              __builtin_prefetch(&in_words[neigh[j + kCscPrefetchDist] >> 6]);
-            const vid_t s = neigh[j];
-            if (!in.get(s)) continue;
-            if (op.update(s, d, wts[j])) next.set(d);
-            if (!op.cond(d)) break;  // destination saturated; skip remaining
-          }
-        }
-        edge_counts[c] = local_edges;
-        return static_cast<std::uint64_t>(local_edges);
+  const AffineCounts counts = with_bit_setter(
+      next, !ranges.word_aligned(), [&](auto mark) {
+        return affine_for(
+            numa, /*owner=*/&g, /*token=*/&chunks, chunks.size(),
+            ws.domain_schedules(),
+            [&](std::size_t c) {
+              return csc_chunk_domain(storage_parts, numa, chunks[c]);
+            },
+            [&](std::size_t c) {
+              // Fired token: drain the sweep without work; edge_map
+              // re-checks and discards the partial frontier (bodies must
+              // not throw here).
+              if (cancel != nullptr && cancel->should_stop()) {
+                edge_counts[c] = 0;
+                return std::uint64_t{0};
+              }
+              edge_counts[c] =
+                  gather_range(adj, in, op, chunks[c], mark, prefetch);
+              return static_cast<std::uint64_t>(edge_counts[c]);
+            });
       });
   if (affinity != nullptr) affinity->merge(counts);
 
@@ -119,7 +136,7 @@ Frontier traverse_csc_backward(const graph::Graph& g, Frontier& f, Op& op,
   }
 
   Frontier out = Frontier::from_bitmap(std::move(next));
-  out.recount(&g.csr());
+  out.recount(&push_index<D>(g));
   return out;
 }
 

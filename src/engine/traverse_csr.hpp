@@ -1,4 +1,5 @@
-// Sparse forward traversal over the whole-graph CSR (Algorithm 2, line 6).
+// Sparse push traversal over the whole-graph CSR (Algorithm 2, line 6); the
+// transposed direction pushes over the CSC the same way.
 //
 // "When the frontier is sparse ... there is little point in partitioning the
 // graph" (§III-A1): the kernel iterates only the active sources from the
@@ -16,6 +17,7 @@
 
 #include <vector>
 
+#include "engine/direction.hpp"
 #include "engine/operators.hpp"
 #include "engine/workspace.hpp"
 #include "frontier/frontier.hpp"
@@ -29,32 +31,24 @@ namespace grind::engine {
 /// stay inside the typical active row.
 inline constexpr std::size_t kCsrPrefetchDist = 16;
 
-/// `prefetch`, when set (Options::prefetch via edge_map), issues
-/// __builtin_prefetch for the *next* active source's row bounds in the
-/// outer loop and for upcoming target entries in the inner loop — the two
-/// demand-miss streams of the sparse push: row starts are random (sparse
-/// list order) and the target array is only sequential within a row.
-template <EdgeOperator Op>
+/// Direction D picks the push index (engine/direction.hpp): forward pushes
+/// along CSR out-edges, transposed along CSC in-edges.  `prefetch`, when
+/// set (Options::prefetch via edge_map), issues __builtin_prefetch for the
+/// *next* active source's row bounds in the outer loop and for upcoming
+/// target entries in the inner loop — the two demand-miss streams of the
+/// sparse push: row starts are random (sparse list order) and the target
+/// array is only sequential within a row.
+template <Direction D = Direction::kForward, EdgeOperator Op>
 Frontier traverse_csr_sparse(const graph::Graph& g, Frontier& f, Op& op,
-                             eid_t* edges_examined,
-                             TraversalWorkspace* ws = nullptr,
+                             eid_t* edges_examined, TraversalWorkspace& ws,
                              bool prefetch = false) {
   f.to_sparse(ws);
-  const auto& csr = g.csr();
-  const auto offsets = csr.offsets();
+  const graph::Csr& adj = push_index<D>(g);
+  const auto offsets = adj.offsets();
   const auto verts = f.vertices();
   const int nt = num_threads();
-
-  std::vector<std::vector<vid_t>> local_buffers;
-  std::vector<std::vector<vid_t>>& buffers =
-      ws != nullptr ? ws->thread_buffers(static_cast<std::size_t>(nt))
-                    : local_buffers;
-  if (ws == nullptr) local_buffers.resize(static_cast<std::size_t>(nt));
-  std::vector<eid_t> local_counts;
-  std::vector<eid_t>& edge_counts =
-      ws != nullptr ? ws->edge_counters(static_cast<std::size_t>(nt))
-                    : local_counts;
-  if (ws == nullptr) local_counts.assign(static_cast<std::size_t>(nt), 0);
+  auto& buffers = ws.thread_buffers(static_cast<std::size_t>(nt));
+  auto& edge_counts = ws.edge_counters(static_cast<std::size_t>(nt));
 
 #pragma omp parallel num_threads(nt)
   {
@@ -66,8 +60,8 @@ Frontier traverse_csr_sparse(const graph::Graph& g, Frontier& f, Op& op,
       const vid_t s = verts[i];
       if (prefetch && i + 1 < verts.size())
         __builtin_prefetch(&offsets[verts[i + 1]]);
-      const auto neigh = csr.neighbors(s);
-      const auto wts = csr.weights(s);
+      const auto neigh = adj.neighbors(s);
+      const auto wts = adj.weights(s);
       local_edges += neigh.size();
       for (std::size_t j = 0; j < neigh.size(); ++j) {
         if (prefetch && j + kCsrPrefetchDist < neigh.size())
@@ -86,19 +80,18 @@ Frontier traverse_csr_sparse(const graph::Graph& g, Frontier& f, Op& op,
     *edges_examined = total;
   }
 
-  // Concatenate per-thread buffers into one sparse list (recycled capacity
-  // when a workspace is supplied; ownership moves into the frontier and
-  // returns via Frontier::into_workspace).
+  // Concatenate per-thread buffers into one sparse list (recycled capacity;
+  // ownership moves into the frontier and returns via
+  // Frontier::into_workspace).
   std::size_t total_active = 0;
   for (std::size_t t = 0; t < static_cast<std::size_t>(nt); ++t)
     total_active += buffers[t].size();
-  std::vector<vid_t> next =
-      ws != nullptr ? ws->acquire_vertex_list() : std::vector<vid_t>{};
+  std::vector<vid_t> next = ws.acquire_vertex_list();
   next.reserve(total_active);
   for (std::size_t t = 0; t < static_cast<std::size_t>(nt); ++t)
     next.insert(next.end(), buffers[t].begin(), buffers[t].end());
 
-  return Frontier::from_vertices(g.num_vertices(), std::move(next), &g.csr());
+  return Frontier::from_vertices(g.num_vertices(), std::move(next), &adj);
 }
 
 }  // namespace grind::engine

@@ -16,7 +16,8 @@
 //            the random writes now land inside one partition's working set,
 //            and destination partitions are disjoint so plain stores
 //            suffice (64-vertex-aligned boundaries keep bitmap words
-//            single-writer, as in the COO "+na" argument).
+//            single-writer, as in the COO "+na" argument; otherwise the
+//            next-frontier bits are set atomically).
 //
 // Bit-identity contract: dp's slots are sorted by (src, dst) — exactly the
 // per-partition edge order of the non-atomic dense COO sweep under
@@ -57,7 +58,7 @@ namespace grind::engine {
 /// gather loads).
 template <ScatterGatherOperator Op>
 Frontier traverse_pcpm(const graph::Graph& g, Frontier& f, Op& op,
-                       eid_t* edges_examined, TraversalWorkspace* ws = nullptr,
+                       eid_t* edges_examined, TraversalWorkspace& ws,
                        AffineCounts* affinity = nullptr,
                        const sys::CancelToken* cancel = nullptr,
                        std::uint64_t* bin_bytes = nullptr) {
@@ -65,11 +66,9 @@ Frontier traverse_pcpm(const graph::Graph& g, Frontier& f, Op& op,
   f.to_dense(ws);
   const auto& bins = g.pcpm_bins();
   const NumaModel& numa = g.numa();
-  DomainScheduleCache* sched =
-      ws != nullptr ? &ws->domain_schedules() : nullptr;
+  DomainScheduleCache& sched = ws.domain_schedules();
   const Bitmap& in = f.bitmap();
-  Bitmap next = ws != nullptr ? ws->acquire_bitmap(g.num_vertices())
-                              : Bitmap(g.num_vertices());
+  Bitmap next = ws.acquire_bitmap(g.num_vertices());
   const part_t np = bins.num_partitions();
   const eid_t slots = bins.num_slots();
 
@@ -79,27 +78,19 @@ Frontier traverse_pcpm(const graph::Graph& g, Frontier& f, Op& op,
 
   // Message-value buffer: one slot per edge, indexed by each partition's
   // slot_base.  Pooled in the workspace (capacity retained, so steady-state
-  // iterations never allocate); the local fallback reproduces the
-  // historical allocate-per-call behaviour for workspace-less callers.
-  std::vector<std::byte> local;
-  V* values;
-  if (ws != nullptr) {
-    values = reinterpret_cast<V*>(ws->pcpm_values(slots * sizeof(V)));
-    if (ws->pcpm_values_need_placement(&bins)) {
-      // Consumer-domain placement: dp's slice is what dp's gather task —
-      // running on dp's domain — reads, and what remote scatters stream
-      // into.  Done once per (bins, buffer storage) pairing.
-      auto& arenas = NumaArenas::instance();
-      for (part_t dp = 0; dp < np; ++dp) {
-        const auto& part = bins.part(dp);
-        if (part.num_slots() == 0) continue;
-        arenas.place(values + part.slot_base, part.num_slots() * sizeof(V),
-                     numa.domain_of_partition(dp, np));
-      }
+  // iterations never allocate).
+  V* values = reinterpret_cast<V*>(ws.pcpm_values(slots * sizeof(V)));
+  if (ws.pcpm_values_need_placement(&bins)) {
+    // Consumer-domain placement: dp's slice is what dp's gather task —
+    // running on dp's domain — reads, and what remote scatters stream
+    // into.  Done once per (bins, buffer storage) pairing.
+    auto& arenas = NumaArenas::instance();
+    for (part_t dp = 0; dp < np; ++dp) {
+      const auto& part = bins.part(dp);
+      if (part.num_slots() == 0) continue;
+      arenas.place(values + part.slot_base, part.num_slots() * sizeof(V),
+                   numa.domain_of_partition(dp, np));
     }
-  } else {
-    local.resize(slots * sizeof(V));
-    values = reinterpret_cast<V*>(local.data());
   }
 
   AffineCounts counts;
@@ -134,22 +125,26 @@ Frontier traverse_pcpm(const graph::Graph& g, Frontier& f, Op& op,
   // update(s,d,w) replaced by gather(d, scatter(s,w)).
   // Same item count and domain map as the scatter, so both sweeps share one
   // cached schedule (keyed on (&g, &bins, np)).
-  AffineCounts gather_counts = affine_for(
-      numa, /*owner=*/&g, /*token=*/&bins, np, sched,
-      [&](std::size_t dp) {
-        return numa.domain_of_partition(static_cast<part_t>(dp), np);
-      },
-      [&](std::size_t dp) {
-        if (cancel != nullptr && cancel->should_stop()) return std::uint64_t{0};
-        const auto& part = bins.part(static_cast<part_t>(dp));
-        const eid_t m = part.num_slots();
-        const V* vals = values + part.slot_base;
-        for (eid_t i = 0; i < m; ++i) {
-          const vid_t s = part.src[i];
-          const vid_t d = part.dst[i];
-          if (in.get(s) && op.cond(d) && op.gather(d, vals[i])) next.set(d);
-        }
-        return static_cast<std::uint64_t>(m);
+  AffineCounts gather_counts = with_bit_setter(
+      next, !g.partitioning_edges().word_aligned(), [&](auto mark) {
+        return affine_for(
+            numa, /*owner=*/&g, /*token=*/&bins, np, sched,
+            [&](std::size_t dp) {
+              return numa.domain_of_partition(static_cast<part_t>(dp), np);
+            },
+            [&](std::size_t dp) {
+              if (cancel != nullptr && cancel->should_stop())
+                return std::uint64_t{0};
+              const auto& part = bins.part(static_cast<part_t>(dp));
+              const eid_t m = part.num_slots();
+              const V* vals = values + part.slot_base;
+              for (eid_t i = 0; i < m; ++i) {
+                const vid_t s = part.src[i];
+                const vid_t d = part.dst[i];
+                if (in.get(s) && op.cond(d) && op.gather(d, vals[i])) mark(d);
+              }
+              return static_cast<std::uint64_t>(m);
+            });
       });
   counts.merge(gather_counts);
   if (affinity != nullptr) affinity->merge(counts);

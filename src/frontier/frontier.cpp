@@ -27,6 +27,8 @@ Frontier Frontier::all(vid_t n, const graph::Csr* out) {
   Frontier f;
   f.n_ = n;
   f.dense_rep_ = true;
+  // grind-lint: allow(kernel-unpooled-scratch) a caller-owned seed frontier,
+  // not traversal scratch; no workspace is in play here.
   f.dense_ = Bitmap(n);
   f.dense_.set_all();
   f.num_active_ = n;
@@ -39,12 +41,7 @@ Frontier Frontier::from_vertices(vid_t n, std::vector<vid_t> verts,
   Frontier f;
   f.n_ = n;
   f.sparse_ = std::move(verts);
-  f.num_active_ = static_cast<vid_t>(f.sparse_.size());
-  if (out != nullptr) {
-    f.out_degree_ = parallel_reduce_sum<eid_t>(
-        0, f.sparse_.size(),
-        [&](std::size_t i) { return out->degree(f.sparse_[i]); });
-  }
+  f.recount(out);
   return f;
 }
 
@@ -62,37 +59,25 @@ bool Frontier::contains(vid_t v) const {
   return std::find(sparse_.begin(), sparse_.end(), v) != sparse_.end();
 }
 
-void Frontier::to_dense(engine::TraversalWorkspace* ws) {
+void Frontier::to_dense(engine::TraversalWorkspace& ws) {
   if (dense_rep_) return;
-  dense_ = ws != nullptr ? ws->acquire_bitmap(n_) : Bitmap(n_);
+  dense_ = ws.acquire_bitmap(n_);
   // Sparse lists are small by definition; serial scatter is fine and avoids
   // atomic traffic.
   for (vid_t v : sparse_) dense_.set(v);
-  if (ws != nullptr) {
-    ws->recycle_vertex_list(std::move(sparse_));
-    sparse_ = {};
-  } else {
-    sparse_.clear();
-    sparse_.shrink_to_fit();
-  }
+  ws.recycle_vertex_list(std::move(sparse_));
+  sparse_ = {};
   dense_rep_ = true;
 }
 
-void Frontier::to_sparse(engine::TraversalWorkspace* ws) {
+void Frontier::to_sparse(engine::TraversalWorkspace& ws) {
   if (!dense_rep_) return;
   // Parallel gather: count bits per word-block, prefix-sum, then write.
   const std::size_t words = dense_.num_words();
   constexpr std::size_t kBlock = 512;  // words per block
   const std::size_t blocks = (words + kBlock - 1) / kBlock;
-  std::vector<std::size_t> local_counts, local_offsets;
-  std::vector<std::size_t>& block_counts =
-      ws != nullptr ? ws->scratch_counts(blocks) : local_counts;
-  std::vector<std::size_t>& block_offsets =
-      ws != nullptr ? ws->scratch_offsets(blocks) : local_offsets;
-  if (ws == nullptr) {
-    local_counts.resize(blocks);
-    local_offsets.resize(blocks);
-  }
+  std::vector<std::size_t>& block_counts = ws.scratch_counts(blocks);
+  std::vector<std::size_t>& block_offsets = ws.scratch_offsets(blocks);
   const std::uint64_t* w = dense_.words();
   parallel_for(0, blocks, [&](std::size_t b) {
     std::size_t c = 0;
@@ -102,9 +87,7 @@ void Frontier::to_sparse(engine::TraversalWorkspace* ws) {
   });
   const std::size_t total =
       exclusive_scan(block_counts.data(), block_offsets.data(), blocks);
-  if (ws != nullptr && sparse_.capacity() == 0) {
-    sparse_ = ws->acquire_vertex_list();
-  }
+  if (sparse_.capacity() == 0) sparse_ = ws.acquire_vertex_list();
   sparse_.resize(total);
   parallel_for(0, blocks, [&](std::size_t b) {
     std::size_t cursor = block_offsets[b];
@@ -119,9 +102,7 @@ void Frontier::to_sparse(engine::TraversalWorkspace* ws) {
       }
     }
   });
-  if (ws != nullptr) {
-    ws->recycle_bitmap(std::move(dense_));
-  }
+  ws.recycle_bitmap(std::move(dense_));
   dense_ = Bitmap();
   dense_rep_ = false;
   num_active_ = static_cast<vid_t>(total);
@@ -140,31 +121,29 @@ void Frontier::into_workspace(engine::TraversalWorkspace& ws) {
 }
 
 void Frontier::recount(const graph::Csr* out) {
-  if (dense_rep_) {
-    num_active_ = static_cast<vid_t>(dense_.count());
-    if (out != nullptr) {
-      const std::uint64_t* w = dense_.words();
-      out_degree_ = parallel_reduce_sum<eid_t>(
-          0, dense_.num_words(), [&](std::size_t i) {
-            eid_t sum = 0;
-            std::uint64_t word = w[i];
-            while (word != 0) {
-              const int bit = std::countr_zero(word);
-              sum += out->degree(
-                  static_cast<vid_t>(i * 64 + static_cast<std::size_t>(bit)));
-              word &= word - 1;
-            }
-            return sum;
-          });
-    }
-  } else {
-    num_active_ = static_cast<vid_t>(sparse_.size());
-    if (out != nullptr) {
-      out_degree_ = parallel_reduce_sum<eid_t>(
-          0, sparse_.size(),
-          [&](std::size_t i) { return out->degree(sparse_[i]); });
-    }
+  num_active_ = dense_rep_ ? static_cast<vid_t>(dense_.count())
+                           : static_cast<vid_t>(sparse_.size());
+  if (out != nullptr) out_degree_ = degree_sum(*out);
+}
+
+eid_t Frontier::degree_sum(const graph::Csr& adj) const {
+  if (!dense_rep_) {
+    return parallel_reduce_sum<eid_t>(0, sparse_.size(), [&](std::size_t i) {
+      return adj.degree(sparse_[i]);
+    });
   }
+  const std::uint64_t* w = dense_.words();
+  return parallel_reduce_sum<eid_t>(0, dense_.num_words(), [&](std::size_t i) {
+    eid_t sum = 0;
+    std::uint64_t word = w[i];
+    while (word != 0) {
+      const int bit = std::countr_zero(word);
+      sum += adj.degree(
+          static_cast<vid_t>(i * 64 + static_cast<std::size_t>(bit)));
+      word &= word - 1;
+    }
+    return sum;
+  });
 }
 
 }  // namespace grind

@@ -25,6 +25,7 @@ part_t Partitioning::partition_of(vid_t v) const {
 void Partitioning::build_sub_chunks() {
   sub_chunks_.clear();
   for (const VertexRange& r : ranges_) {
+    if (r.begin % 64 != 0) word_aligned_ = false;
     for (vid_t v = r.begin; v < r.end; v += kSubChunkVertices)
       sub_chunks_.push_back({v, std::min<vid_t>(r.end, v + kSubChunkVertices)});
   }

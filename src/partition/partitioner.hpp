@@ -13,7 +13,9 @@
 // vertices (default 64 = one frontier-bitmap word) so that two partitions
 // never write the same bitmap word; this makes the non-atomic bitmap updates
 // of the "+na" kernels race-free.  The paper does not spell this detail out;
-// it is required for correctness of atomic-free next-frontier updates.
+// it is required for correctness of atomic-free next-frontier updates, so a
+// partitioning records whether it holds (Partitioning::word_aligned) and
+// the kernels fall back to atomic bitmap sets when it does not.
 #pragma once
 
 #include <vector>
@@ -112,6 +114,13 @@ class Partitioning {
     return sub_chunks_;
   }
 
+  /// Whether every range begins on a multiple of 64 vertices, so no two
+  /// partitions (or sub-chunks) share a frontier-bitmap word.  Derived at
+  /// construction from the ranges themselves: a boundary_align below 64
+  /// usually breaks it, and the single-writer kernels then set next-frontier
+  /// bits atomically.
+  [[nodiscard]] bool word_aligned() const { return word_aligned_; }
+
  private:
   void build_sub_chunks();
 
@@ -119,6 +128,7 @@ class Partitioning {
   std::vector<eid_t> edge_counts_;
   PartitionOptions opts_;
   std::vector<VertexRange> sub_chunks_;
+  bool word_aligned_ = true;
 };
 
 /// Algorithm 1 (generalised): split the vertex set into `num_partitions`

@@ -33,8 +33,8 @@ constexpr std::size_t bitmap_words(std::size_t bits) {
 }
 
 /// Plain (non-atomic) bitmap.  Safe for concurrent writes only when writers
-/// own disjoint 64-bit word ranges — which the partitioner guarantees by
-/// aligning partition boundaries to multiples of 64 vertices.
+/// own disjoint 64-bit word ranges — which partition boundaries aligned to
+/// multiples of 64 vertices provide (Partitioning::word_aligned).
 class Bitmap {
  public:
   Bitmap() = default;
@@ -192,5 +192,26 @@ class AtomicBitmap {
   std::size_t bits_ = 0;
   std::vector<std::atomic<std::uint64_t>> words_;
 };
+
+/// Sets bits of one Bitmap with the atomicity fixed at compile time.
+template <bool Atomic>
+struct BitSetter {
+  Bitmap* bits;
+  void operator()(std::size_t i) const {
+    if constexpr (Atomic) bits->set_atomic(i);
+    else bits->set(i);
+  }
+};
+
+/// Call fn(BitSetter<true>) over `bits` when `atomic`, else
+/// fn(BitSetter<false>).  The partition-parallel kernels choose once per
+/// call this way, so the per-edge store carries no branch: plain stores
+/// when partition boundaries keep bitmap words single-writer, atomic ones
+/// when adjacent partitions share a word.
+template <typename Fn>
+auto with_bit_setter(Bitmap& bits, bool atomic, Fn&& fn) {
+  if (atomic) return fn(BitSetter<true>{&bits});
+  return fn(BitSetter<false>{&bits});
+}
 
 }  // namespace grind

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "engine/workspace.hpp"
 #include "graph/generators.hpp"
 
 namespace grind {
@@ -43,16 +44,17 @@ TEST(Frontier, AllVerticesWeightIsVPlusE) {
 }
 
 TEST(Frontier, SparseToDenseAndBackPreservesContent) {
+  engine::TraversalWorkspace ws;
   const auto el = graph::rmat(8, 4, 3);
   const Csr out = Csr::build(el, Adjacency::kOut);
   Frontier f = Frontier::from_vertices(256, {3, 77, 100, 255}, &out);
   const eid_t weight = f.traversal_weight();
-  f.to_dense();
+  f.to_dense(ws);
   EXPECT_TRUE(f.is_dense());
   EXPECT_TRUE(f.contains(77));
   EXPECT_FALSE(f.contains(78));
   EXPECT_EQ(f.num_active(), 4u);
-  f.to_sparse();
+  f.to_sparse(ws);
   EXPECT_FALSE(f.is_dense());
   const auto verts = f.vertices();
   EXPECT_EQ(std::vector<vid_t>(verts.begin(), verts.end()),
@@ -62,6 +64,7 @@ TEST(Frontier, SparseToDenseAndBackPreservesContent) {
 }
 
 TEST(Frontier, RecountMatchesManualSum) {
+  engine::TraversalWorkspace ws;
   const auto el = graph::rmat(9, 6, 5);
   const Csr out = Csr::build(el, Adjacency::kOut);
   std::vector<vid_t> verts = {1, 5, 9, 200, 400};
@@ -69,7 +72,8 @@ TEST(Frontier, RecountMatchesManualSum) {
   for (vid_t v : verts) want += out.degree(v);
   Frontier f = Frontier::from_vertices(el.num_vertices(), verts, &out);
   EXPECT_EQ(f.active_out_degree(), want);
-  f.to_dense();
+  f.to_dense(ws);
+  EXPECT_EQ(f.degree_sum(out), want);
   f.recount(&out);
   EXPECT_EQ(f.active_out_degree(), want);
   EXPECT_EQ(f.num_active(), 5u);
@@ -85,6 +89,7 @@ TEST(Frontier, FromBitmapCountsBits) {
 }
 
 TEST(Frontier, ToSparseOnLargeDenseFrontier) {
+  engine::TraversalWorkspace ws;
   const vid_t n = 100000;
   Bitmap b(n);
   std::vector<vid_t> want;
@@ -93,29 +98,31 @@ TEST(Frontier, ToSparseOnLargeDenseFrontier) {
     want.push_back(v);
   }
   Frontier f = Frontier::from_bitmap(std::move(b));
-  f.to_sparse();
+  f.to_sparse(ws);
   const auto verts = f.vertices();
   ASSERT_EQ(verts.size(), want.size());
   EXPECT_TRUE(std::equal(verts.begin(), verts.end(), want.begin()));
 }
 
 TEST(Frontier, ForEachVisitsActiveOnly) {
+  engine::TraversalWorkspace ws;
   Frontier f = Frontier::from_vertices(64, {2, 4, 8});
   std::vector<vid_t> got;
   f.for_each([&](vid_t v) { got.push_back(v); });
   EXPECT_EQ(got, (std::vector<vid_t>{2, 4, 8}));
-  f.to_dense();
+  f.to_dense(ws);
   got.clear();
   f.for_each([&](vid_t v) { got.push_back(v); });
   EXPECT_EQ(got, (std::vector<vid_t>{2, 4, 8}));
 }
 
 TEST(Frontier, ConversionIsIdempotent) {
+  engine::TraversalWorkspace ws;
   Frontier f = Frontier::from_vertices(64, {1});
-  f.to_sparse();  // no-op
+  f.to_sparse(ws);  // no-op
   EXPECT_FALSE(f.is_dense());
-  f.to_dense();
-  f.to_dense();  // no-op
+  f.to_dense(ws);
+  f.to_dense(ws);  // no-op
   EXPECT_TRUE(f.is_dense());
   EXPECT_EQ(f.num_active(), 1u);
 }

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "engine/edge_map.hpp"
@@ -257,6 +258,61 @@ TEST(Kernels, ResultsIdenticalAcrossThreadCounts) {
     return acc;
   };
   EXPECT_EQ(run(1), run(num_threads()));
+}
+
+/// Activates every destination it reaches, from every edge: each next-
+/// frontier bit is stored by whichever task gets there, the pattern that
+/// loses bits when concurrent tasks share a bitmap word non-atomically.
+struct ActivateAllOp {
+  using scatter_value_t = int;
+  bool update(vid_t, vid_t, weight_t) { return true; }
+  bool update_atomic(vid_t, vid_t, weight_t) { return true; }
+  [[nodiscard]] int scatter(vid_t, weight_t) const { return 0; }
+  bool gather(vid_t, int) { return true; }
+  [[nodiscard]] bool cond(vid_t) const { return true; }
+};
+
+TEST(Kernels, PartitionParallelNextFrontierExactAtEveryBoundaryAlign) {
+  const auto el = graph::rmat(11, 8, 99);
+  std::vector<bool> active(el.num_vertices(), true);
+  std::vector<std::uint64_t> unused;
+  std::vector<bool> want;
+  oracle(el, active, unused, want);
+
+  ThreadCountGuard guard(4);
+  for (const vid_t align : {1u, 8u, 64u}) {
+    BuildOptions b;
+    b.num_partitions = 64;
+    b.boundary_align = align;
+    b.build_partitioned_csr = true;
+    b.build_pcpm_bins = true;
+    const Graph g = Graph::build(graph::EdgeList(el), b);
+    const vid_t n = g.num_vertices();
+    EXPECT_EQ(g.partitioning_edges().word_aligned(), align == 64)
+        << "align=" << align;
+
+    for (const auto& [layout, kind] :
+         {std::pair{Layout::kBackwardCsc, TraversalKind::kBackwardCsc},
+          std::pair{Layout::kDenseCoo, TraversalKind::kDenseCoo},
+          std::pair{Layout::kPartitionedCsr, TraversalKind::kPartitionedCsr},
+          std::pair{Layout::kPcpm, TraversalKind::kPcpm}}) {
+      Options opts;
+      opts.layout = layout;
+      opts.atomics = AtomicsMode::kForceOff;  // the single-writer kernels
+      opts.sparse_fraction = 0.0;
+      Engine eng(g, opts);
+      for (int rep = 0; rep < 4; ++rep) {  // a lost store is a race: retry
+        Frontier all = Frontier::all(n, &g.csr());
+        Frontier next = eng.edge_map(all, ActivateAllOp{});
+        for (vid_t v = 0; v < n; ++v)
+          ASSERT_EQ(next.contains(v), want[v])
+              << "align=" << align << " kind=" << to_string(kind)
+              << " v=" << v;
+        eng.recycle(next);
+      }
+      EXPECT_EQ(eng.stats().calls_for(kind), 4u) << to_string(kind);
+    }
+  }
 }
 
 }  // namespace

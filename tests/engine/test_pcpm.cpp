@@ -20,6 +20,7 @@
 #include "graph/generators.hpp"
 #include "graph/reorder.hpp"
 #include "sys/atomics.hpp"
+#include "sys/parallel.hpp"
 
 namespace grind::engine {
 namespace {
@@ -203,7 +204,7 @@ TEST(Pcpm, ScatterGatherRoundTripsHandBuiltTwoPartitionGraph) {
     eid_t edges = 0;
     std::uint64_t bytes = 0;
     Frontier next =
-        traverse_pcpm(g, f, op, &edges, &ws, nullptr, nullptr, &bytes);
+        traverse_pcpm(g, f, op, &edges, ws, nullptr, nullptr, &bytes);
 
     EXPECT_EQ(edges, g.num_edges());  // PCPM always scans every slot
     EXPECT_EQ(bytes, 2 * static_cast<std::uint64_t>(g.num_edges()) *
@@ -266,22 +267,28 @@ TEST_P(PcpmIdentity, MatchesDenseCooBitwiseForAllScatterGatherWorkloads) {
     return r;
   };
 
-  TraversalStats coo_stats, pcpm_stats;
-  const auto base = run(coo, coo_stats);
-  const auto got = run(pcpm, pcpm_stats);
+  // 4 threads with P ≥ 4 runs the non-atomic kernels partition-parallel
+  // over boundaries aligned to 8, so partitions share bitmap words — the
+  // multi-writer case a 1-CPU runner would otherwise never exercise.
+  for (const int threads : {1, 4}) {
+    ThreadCountGuard guard(threads);
+    TraversalStats coo_stats, pcpm_stats;
+    const auto base = run(coo, coo_stats);
+    const auto got = run(pcpm, pcpm_stats);
 
-  // Both engines really took the kernel under test for their dense rounds.
-  EXPECT_GT(coo_stats.calls_for(TraversalKind::kDenseCoo), 0u);
-  EXPECT_GT(pcpm_stats.calls_for(TraversalKind::kPcpm), 0u);
-  EXPECT_EQ(pcpm_stats.calls_for(TraversalKind::kDenseCoo), 0u);
-  EXPECT_GT(pcpm_stats.pcpm_bin_bytes, 0u);
+    // Both engines really took the kernel under test for their dense rounds.
+    EXPECT_GT(coo_stats.calls_for(TraversalKind::kDenseCoo), 0u);
+    EXPECT_GT(pcpm_stats.calls_for(TraversalKind::kPcpm), 0u);
+    EXPECT_EQ(pcpm_stats.calls_for(TraversalKind::kDenseCoo), 0u);
+    EXPECT_GT(pcpm_stats.pcpm_bin_bytes, 0u);
 
-  // EXPECT_EQ, not NEAR: the accumulation orders are identical by
-  // construction, so every double must match bit for bit.
-  EXPECT_EQ(got.pr, base.pr) << "PR";
-  EXPECT_EQ(got.prd, base.prd) << "PRDelta";
-  EXPECT_EQ(got.y, base.y) << "SPMV";
-  EXPECT_EQ(got.b0, base.b0) << "BP";
+    // EXPECT_EQ, not NEAR: the accumulation orders are identical by
+    // construction, so every double must match bit for bit.
+    EXPECT_EQ(got.pr, base.pr) << "PR, threads=" << threads;
+    EXPECT_EQ(got.prd, base.prd) << "PRDelta, threads=" << threads;
+    EXPECT_EQ(got.y, base.y) << "SPMV, threads=" << threads;
+    EXPECT_EQ(got.b0, base.b0) << "BP, threads=" << threads;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

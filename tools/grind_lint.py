@@ -21,6 +21,20 @@ that sit above any single lock:
                            counting-allocator audit in bench_kernels_micro);
                            container growth must go through the workspace
                            pools, never ad-hoc allocation.
+  kernel-unpooled-scratch  no `TraversalWorkspace*` parameter and no direct
+                           `Bitmap(...)` construction in the traversal
+                           kernels (src/engine/traverse_*) or the frontier
+                           conversions (src/frontier/) — every kernel takes
+                           a required `TraversalWorkspace&` and draws its
+                           bitmaps from the pool, so the nullable-workspace
+                           fallback path (and its per-call allocations)
+                           cannot come back.
+  kernel-bare-next-set     no bare `next.set(` in src/engine/traverse_* —
+                           the single-writer kernels mark next-frontier bits
+                           through the setter with_bit_setter picks once per
+                           call (atomic when partition boundaries share a
+                           bitmap word, Partitioning::word_aligned); a bare
+                           plain store races whenever boundary_align < 64.
   service-engine-unleased  no engine::Engine construction in src/service/
                            without a leased workspace argument — an Engine
                            default-allocates private scratch, so a
@@ -302,6 +316,50 @@ def scope_traverse_kernels(rel):
     return re.match(r"src/engine/traverse_[^/]+$", rel) is not None
 
 
+UNPOOLED_SCRATCH_PATTERNS = [
+    (
+        re.compile(r"\bTraversalWorkspace\s*\*"),
+        "nullable `TraversalWorkspace*` — kernels and frontier conversions "
+        "take a required `TraversalWorkspace&`; callers without one build a "
+        "local workspace",
+    ),
+    (
+        re.compile(r"\bBitmap\s*\(\s*[^)\s]|\bBitmap\s+\w+\s*[({]\s*[^)}\s]"),
+        "direct Bitmap construction — acquire scratch bitmaps from the "
+        "workspace pool (ws.acquire_bitmap) so steady state allocates nothing",
+    ),
+]
+
+
+def rule_kernel_unpooled_scratch(path, text):
+    out = []
+    for idx, line in enumerate(text.splitlines()):
+        for pat, msg in UNPOOLED_SCRATCH_PATTERNS:
+            if pat.search(line):
+                out.append((idx, msg))
+    return out
+
+
+def scope_kernels_and_frontier(rel):
+    return scope_traverse_kernels(rel) or rel.startswith("src/frontier/")
+
+
+BARE_NEXT_SET_RE = re.compile(r"\bnext\s*\.\s*set\s*\(")
+
+
+def rule_kernel_bare_next_set(path, text):
+    return [
+        (
+            idx,
+            "bare `next.set(` in a traversal kernel — mark next-frontier "
+            "bits through the with_bit_setter setter (atomic when partition "
+            "boundaries are not word-aligned) or use set_atomic",
+        )
+        for idx, line in enumerate(text.splitlines())
+        if BARE_NEXT_SET_RE.search(line)
+    ]
+
+
 ENGINE_CTOR_RE = re.compile(
     r"\bengine::Engine\s+\w+\s*\(([^;]*)\)|\bEngine\s+\w+\s*\(([^;]*)\)"
 )
@@ -387,6 +445,20 @@ RULES = [
         rule_kernel_heap_alloc,
         False,
         "no heap allocation / sleeps in src/engine/traverse_* kernels",
+    ),
+    Rule(
+        "kernel-unpooled-scratch",
+        scope_kernels_and_frontier,
+        rule_kernel_unpooled_scratch,
+        False,
+        "no nullable workspace / direct Bitmap scratch in kernels or frontier",
+    ),
+    Rule(
+        "kernel-bare-next-set",
+        scope_traverse_kernels,
+        rule_kernel_bare_next_set,
+        False,
+        "no bare next.set( in src/engine/traverse_* (use with_bit_setter)",
     ),
     Rule(
         "service-engine-unleased",
@@ -580,6 +652,67 @@ SELF_TESTS = [
         "src/engine/workspace_seeded.hpp",
         "void k() {\n  auto* buf = new int[64];\n}\n",
         "kernel-heap-alloc",
+        False,
+    ),
+    (
+        "kernel-unpooled-scratch fires on a nullable workspace parameter",
+        "src/engine/traverse_seeded.hpp",
+        "Frontier k(const Graph& g, Frontier& f,\n"
+        "           TraversalWorkspace* ws = nullptr) {\n  return f;\n}\n",
+        "kernel-unpooled-scratch",
+        True,
+    ),
+    (
+        "kernel-unpooled-scratch fires on a scratch Bitmap in a kernel",
+        "src/engine/traverse_seeded.hpp",
+        "void k(const Graph& g) {\n  Bitmap next(g.num_vertices());\n}\n",
+        "kernel-unpooled-scratch",
+        True,
+    ),
+    (
+        "kernel-unpooled-scratch fires on Bitmap(n) in the frontier",
+        "src/frontier/frontier.cpp",
+        "void Frontier::to_dense() {\n  dense_ = Bitmap(n_);\n}\n",
+        "kernel-unpooled-scratch",
+        True,
+    ),
+    (
+        "kernel-unpooled-scratch quiet on pooled bitmaps and resets",
+        "src/frontier/frontier.cpp",
+        "void Frontier::to_dense(engine::TraversalWorkspace& ws) {\n"
+        "  dense_ = ws.acquire_bitmap(n_);\n"
+        "  const Bitmap& in = f.bitmap();\n"
+        "  dense_ = Bitmap();\n}\n",
+        "kernel-unpooled-scratch",
+        False,
+    ),
+    (
+        "kernel-unpooled-scratch out of scope outside kernels/frontier",
+        "src/engine/workspace_seeded.hpp",
+        "Bitmap acquire(std::size_t bits) { return Bitmap(bits); }\n",
+        "kernel-unpooled-scratch",
+        False,
+    ),
+    (
+        "kernel-bare-next-set fires on a plain next-frontier store",
+        "src/engine/traverse_seeded.hpp",
+        "void k() {\n  if (op.update(s, d, w)) next.set(d);\n}\n",
+        "kernel-bare-next-set",
+        True,
+    ),
+    (
+        "kernel-bare-next-set quiet on set_atomic and the chosen setter",
+        "src/engine/traverse_seeded.hpp",
+        "void k() {\n  if (op.update_atomic(s, d, w)) next.set_atomic(d);\n"
+        "  if (op.update(s, d, w)) mark(d);\n}\n",
+        "kernel-bare-next-set",
+        False,
+    ),
+    (
+        "kernel-bare-next-set out of scope outside traverse_*",
+        "src/frontier/frontier.cpp",
+        "void f() {\n  next.set(v);\n}\n",
+        "kernel-bare-next-set",
         False,
     ),
     (
