@@ -1,7 +1,6 @@
 #include "service/graph_service.hpp"
 
 #include <algorithm>
-#include <map>
 #include <memory>
 #include <new>
 #include <optional>
@@ -128,9 +127,10 @@ void GraphService::shutdown() {
   // kCancelled instead of wedging the join below.
   pool_.close();
   queue_cv_.notify_all();
-  // Every stolen entry resolves its future(s): shutdown cancels queued work,
-  // it never drops it.  In-flight queries run to completion.
-  for (auto& job : stolen) job.drop(QueryStatus::kCancelled, "service shutdown");
+  // Every stolen entry resolves its future: shutdown cancels queued work, it
+  // never drops it.  In-flight queries run to completion.
+  for (auto& job : stolen)
+    drop(job, QueryStatus::kCancelled, "service shutdown");
   for (auto& w : workers_)
     if (w.joinable()) w.join();
   workers_.clear();
@@ -155,28 +155,35 @@ void GraphService::worker_loop(std::size_t index) {
                                       static_cast<int>(cfg_.workers)));
   }
   for (;;) {
-    Job job;
+    std::optional<Job> job;  // not a default Job: that allocates a promise
     {
       sys::UniqueLock lock(queue_m_);
       while (!stopping_ && queue_.empty()) queue_cv_.wait(lock);
       // shutdown() steals the queue under the same lock that sets
       // stopping_, so stopping_ ⇒ nothing left to run here.
       if (stopping_) return;
-      job = std::move(queue_.front());
+      job.emplace(std::move(queue_.front()));
       queue_.pop_front();
     }
     if (cfg_.admission_timeout.count() > 0 &&
-        Clock::now() - job.enqueued > cfg_.admission_timeout) {
+        Clock::now() - job->enqueued > cfg_.admission_timeout) {
       // Stale entry: the submitter's latency budget is already blown and
       // executing it only delays everything behind it.
-      job.drop(QueryStatus::kShed, "admission timeout exceeded in queue");
+      drop(*job, QueryStatus::kShed, "admission timeout exceeded in queue");
     } else {
-      job.run();
+      run_one(*job);
     }
   }
 }
 
-bool GraphService::enqueue(Job&& job) {
+void GraphService::throw_if_stopped(const char* call) const {
+  sys::MutexLock lock(queue_m_);
+  if (stopping_)
+    throw std::runtime_error(std::string("GraphService: ") + call +
+                             " after shutdown");
+}
+
+bool GraphService::enqueue(Job& job) {
   {
     sys::MutexLock lock(queue_m_);
     if (stopping_)
@@ -265,83 +272,93 @@ void GraphService::maybe_cache(const Prepared& prep, const QueryResult& r) {
 }
 
 std::future<QueryResult> GraphService::submit(QueryRequest req) {
-  auto request = std::make_shared<QueryRequest>(std::move(req));
-  auto promise = std::make_shared<std::promise<QueryResult>>();
-  std::future<QueryResult> fut = promise->get_future();
-  const std::string gname = graph_name_of(*request);
+  // Before prepare(): a validation failure or a cache hit must not slip a
+  // resolved future past a shut-down service.
+  throw_if_stopped("submit");
+  Job job;
+  job.graph = graph_name_of(req);
+  std::future<QueryResult> fut = job.promise.get_future();
 
   // The deadline clock starts at admission: queue wait counts against it.
-  std::shared_ptr<sys::CancelToken> token = request->cancel;
-  if (token == nullptr && request->deadline.count() > 0)
-    token = std::make_shared<sys::CancelToken>();
-  if (token != nullptr && request->deadline.count() > 0)
-    token->set_deadline_in(request->deadline);
+  job.token = req.cancel;
+  if (job.token == nullptr && req.deadline.count() > 0)
+    job.token = std::make_shared<sys::CancelToken>();
+  if (job.token != nullptr && req.deadline.count() > 0)
+    job.token->set_deadline_in(req.deadline);
 
   // Resolve {graph, algorithm, params} and probe the cache before
   // queueing: validation failures and cache hits resolve right here on the
   // submitter's thread, consuming neither a queue slot nor (for hits) a
   // workspace lease.  The Prepared entry handle pins the graph across the
   // queue wait, so an evict/reload landing mid-queue cannot yank it.
-  auto prep = std::make_shared<Prepared>();
-  {
-    QueryResult early;
-    if (!prepare(*request, prep.get(), &early)) {
-      record(early, gname);
-      promise->set_value(std::move(early));
-      return fut;
-    }
+  QueryResult early;
+  if (!prepare(req, &job.prep, &early)) {
+    finish(job, std::move(early));
+    return fut;
   }
 
-  Job job;
   job.enqueued = Clock::now();
-  const auto enqueued = job.enqueued;
-  job.drop = [this, request, promise, gname,
-              enqueued](QueryStatus st, const std::string& why) {
-    QueryResult r = unrun_result(request->algorithm, st, why);
-    // The real queue wait, not 0: admission-timeout sheds and
-    // cancelled-in-queue resolutions are exactly the tail the latency
-    // percentiles exist to expose.
-    r.queue_seconds = seconds_between(enqueued, Clock::now());
-    record(r, gname);
-    promise->set_value(std::move(r));
-  };
-  job.run = [this, prep, promise, token, gname, enqueued] {
-    QueryResult r = run_one(*prep, token, enqueued);
-    record(r, gname);
-    promise->set_value(std::move(r));
-  };
-  if (!enqueue(std::move(job))) {
+  if (!enqueue(job)) {
     // Full queue: shed on the submitter's thread, immediately — admission
     // control must never block the caller.
-    QueryResult r = unrun_result(request->algorithm, QueryStatus::kShed,
-                                 "queue full (max_queue_depth)");
-    record(r, gname);
-    promise->set_value(std::move(r));
+    finish(job, unrun_result(req.algorithm, QueryStatus::kShed,
+                             "queue full (max_queue_depth)"));
   }
   return fut;
 }
 
-bool GraphService::acquire_lease(const std::string& algorithm,
-                                 const std::shared_ptr<sys::CancelToken>& token,
-                                 Clock::time_point start,
-                                 WorkspacePool::Lease* lease,
-                                 QueryResult* failure) {
-  // Lease scratch warm on this worker's domain, waiting no longer than the
-  // query's own deadline and the configured lease timeout allow.  Lazy
-  // workspace creation can throw bad_alloc (real memory pressure, or the
-  // "pool.workspace-alloc" fault site) — that fails this query, never the
-  // worker; the unclaimed capacity slot stays available for later queries.
-  const bool token_deadline = token != nullptr && token->has_deadline();
-  try {
-    if (token_deadline || cfg_.lease_timeout.count() > 0) {
-      Clock::time_point until = Clock::time_point::max();
-      if (token_deadline) until = token->deadline();
-      if (cfg_.lease_timeout.count() > 0)
-        until = std::min(until, start + cfg_.lease_timeout);
-      auto opt = pool_.try_acquire_until(until, preferred_domain());
-      if (!opt.has_value()) {
-        *failure =
-            pool_.closed()
+void GraphService::finish(Job& job, QueryResult r) {
+  record(r, job.graph);
+  job.promise.set_value(std::move(r));
+}
+
+void GraphService::drop(Job& job, QueryStatus status, const char* why) {
+  QueryResult r = unrun_result(job.prep.desc->name, status, why);
+  // The real queue wait, not 0: admission-timeout sheds and
+  // cancelled-in-queue resolutions are exactly the tail the latency
+  // percentiles exist to expose.
+  r.queue_seconds = seconds_between(job.enqueued, Clock::now());
+  finish(job, std::move(r));
+}
+
+void GraphService::run_one(Job& job) {
+  const Clock::time_point start = Clock::now();
+  const std::string& algorithm = job.prep.desc->name;
+  const sys::CancelToken* token = job.token.get();
+  // The deadline may already have passed while the query sat in line.
+  const sys::CancelState state =
+      token != nullptr ? token->state() : sys::CancelState::kRun;
+  QueryResult r;
+  WorkspacePool::Lease lease;
+  if (state != sys::CancelState::kRun) {
+    r = unrun_result(algorithm, status_of(state),
+                     state == sys::CancelState::kDeadlineExceeded
+                         ? "deadline exceeded in queue"
+                         : "cancelled in queue");
+  } else {
+    // Lease scratch warm on this worker's domain, waiting no longer than
+    // the query's own deadline and the configured lease timeout allow.
+    // Lazy workspace creation can throw bad_alloc (real memory pressure, or
+    // the "pool.workspace-alloc" fault site) — that fails this query, never
+    // the worker; the unclaimed capacity slot stays available for later
+    // queries.
+    const bool token_deadline = token != nullptr && token->has_deadline();
+    try {
+      if (token_deadline || cfg_.lease_timeout.count() > 0) {
+        Clock::time_point until = Clock::time_point::max();
+        if (token_deadline) until = token->deadline();
+        if (cfg_.lease_timeout.count() > 0)
+          until = std::min(until, start + cfg_.lease_timeout);
+        if (auto opt = pool_.try_acquire_until(until, preferred_domain()))
+          lease = std::move(*opt);
+      } else {
+        // grind-lint: allow(untimed-acquire) reachable only when the query
+        // carries no deadline AND cfg_.lease_timeout is 0 — the caller asked
+        // for an unbounded wait, and shutdown()'s pool close() still wakes it.
+        lease = pool_.acquire(preferred_domain());
+      }
+      if (!lease.valid()) {
+        r = pool_.closed()
                 ? unrun_result(algorithm, QueryStatus::kCancelled,
                                "service shutdown")
                 : (token != nullptr && token->should_stop()
@@ -349,210 +366,46 @@ bool GraphService::acquire_lease(const std::string& algorithm,
                                       "deadline exceeded waiting for workspace")
                        : unrun_result(algorithm, QueryStatus::kShed,
                                       "workspace lease timeout"));
-        return false;
       }
-      *lease = std::move(*opt);
-    } else {
-      // grind-lint: allow(untimed-acquire) reachable only when the query
-      // carries no deadline AND cfg_.lease_timeout is 0 — the caller asked
-      // for an unbounded wait, and shutdown()'s pool close() still wakes it.
-      *lease = pool_.acquire(preferred_domain());
-      if (!lease->valid()) {
-        // The pool was closed by shutdown() while we waited.
-        *failure = unrun_result(algorithm, QueryStatus::kCancelled,
-                                "service shutdown");
-        return false;
-      }
-    }
-  } catch (const std::bad_alloc&) {
-    *failure = unrun_result(algorithm, QueryStatus::kError,
-                            "workspace allocation failed");
-    return false;
-  }
-  return true;
-}
-
-QueryResult GraphService::run_one(
-    const Prepared& prep, const std::shared_ptr<sys::CancelToken>& token,
-    Clock::time_point enqueued) {
-  const Clock::time_point start = Clock::now();
-  const double queue_seconds = seconds_between(enqueued, start);
-  const std::string& algorithm = prep.desc->name;
-
-  // The deadline may already have passed while the query sat in line.
-  if (token != nullptr) {
-    const sys::CancelState s = token->state();
-    if (s != sys::CancelState::kRun) {
-      QueryResult r = unrun_result(algorithm, status_of(s),
-                                   s == sys::CancelState::kDeadlineExceeded
-                                       ? "deadline exceeded in queue"
-                                       : "cancelled in queue");
-      r.queue_seconds = queue_seconds;
-      return r;
+    } catch (const std::bad_alloc&) {
+      r = unrun_result(algorithm, QueryStatus::kError,
+                       "workspace allocation failed");
     }
   }
-
-  WorkspacePool::Lease lease;
-  {
-    QueryResult failure;
-    if (!acquire_lease(algorithm, token, start, &lease, &failure)) {
-      failure.queue_seconds = queue_seconds;
-      return failure;
-    }
+  if (lease.valid()) {
+    GRIND_FAULT_STALL("service.worker-stall");
+    r = execute(job.prep, job.token, *lease, queue_depth());
+    lease.release();  // return the workspace before the future wakes waiters
+    maybe_cache(job.prep, r);
   }
-
-  GRIND_FAULT_STALL("service.worker-stall");
-
-  QueryResult r = execute(prep, token, *lease, queue_depth());
-  lease.release();  // return the workspace before the future wakes waiters
-  maybe_cache(prep, r);
-  r.queue_seconds = queue_seconds;
-  return r;
+  r.queue_seconds = seconds_between(job.enqueued, start);
+  finish(job, std::move(r));
 }
 
 std::vector<QueryResult> GraphService::run_batch(
     std::vector<QueryRequest> reqs) {
-  {
-    // Fail like submit() does: without this check a post-shutdown batch
-    // would enqueue zero slices (workers_ is empty) and return fabricated
-    // default results.
-    sys::MutexLock lock(queue_m_);
-    if (stopping_)
-      throw std::runtime_error("GraphService: run_batch after shutdown");
-  }
-  if (reqs.empty()) return {};
-
-  struct BatchState {
-    std::vector<QueryRequest> reqs;
-    std::vector<std::shared_ptr<sys::CancelToken>> tokens;
-    std::vector<Prepared> prepared;
-    std::vector<QueryResult> results;
-  };
-  auto state = std::make_shared<BatchState>();
-  state->reqs = std::move(reqs);
-  state->results.resize(state->reqs.size());
-  state->prepared.resize(state->reqs.size());
-  // Deadlines stamp at batch admission, one token per deadline/cancel-
-  // carrying request.
-  state->tokens.resize(state->reqs.size());
-  for (std::size_t i = 0; i < state->reqs.size(); ++i) {
-    QueryRequest& q = state->reqs[i];
-    std::shared_ptr<sys::CancelToken> t = q.cancel;
-    if (t == nullptr && q.deadline.count() > 0)
-      t = std::make_shared<sys::CancelToken>();
-    if (t != nullptr && q.deadline.count() > 0) t->set_deadline_in(q.deadline);
-    state->tokens[i] = std::move(t);
-  }
-
-  // Prepare every request up front (pinning its graph across the queue
-  // wait) and group the survivors by algorithm, keeping request order
-  // inside each group so results land back at their original positions.
-  // Validation failures and cache hits resolve right here and never join a
-  // slice.
-  std::map<std::string, std::vector<std::size_t>> groups;
-  for (std::size_t i = 0; i < state->reqs.size(); ++i) {
-    QueryResult early;
-    if (prepare(state->reqs[i], &state->prepared[i], &early)) {
-      groups[state->reqs[i].algorithm].push_back(i);
-    } else {
-      state->results[i] = std::move(early);
-      record(state->results[i], graph_name_of(state->reqs[i]));
+  throw_if_stopped("run_batch");
+  std::vector<QueryResult> results(reqs.size());
+  std::vector<std::future<QueryResult>> futs(reqs.size());
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    try {
+      futs[i] = submit(reqs[i]);
+    } catch (const std::runtime_error&) {
+      // shutdown() landed partway through the batch: the rest resolve like
+      // any other queued-at-shutdown work instead of throwing a
+      // half-submitted batch at the caller.
+      results[i] = unrun_result(reqs[i].algorithm, QueryStatus::kCancelled,
+                                "service shutdown");
+      record(results[i], graph_name_of(reqs[i]));
     }
   }
-
-  std::vector<std::future<void>> slices;
-  for (auto& [algo, indices] : groups) {
-    (void)algo;
-    // One slice per worker (at most): each slice leases a single workspace
-    // and keeps it across all its queries, so the lease cost, the warm
-    // frontier buffers, and the engine setup amortise over the group.
-    // cfg_.workers (immutable after construction) rather than
-    // workers_.size(), which shutdown() mutates.
-    const std::size_t n_slices =
-        std::min<std::size_t>(cfg_.workers, indices.size());
-    for (std::size_t s = 0; s < n_slices; ++s) {
-      std::vector<std::size_t> mine;
-      for (std::size_t k = s; k < indices.size(); k += n_slices)
-        mine.push_back(indices[k]);
-      auto done = std::make_shared<std::promise<void>>();
-      slices.push_back(done->get_future());
-
-      Job job;
-      job.enqueued = Clock::now();
-      const auto enqueued = job.enqueued;
-      // Shed / cancelled without running: resolve the whole slice, with the
-      // real queue wait stamped (admission-timeout sheds and shutdown
-      // steals are the tail the percentiles exist to expose).
-      job.drop = [this, state, done, enqueued, mine](QueryStatus st,
-                                                     const std::string& why) {
-        const double queue_seconds = seconds_between(enqueued, Clock::now());
-        for (std::size_t i : mine) {
-          state->results[i] =
-              unrun_result(state->reqs[i].algorithm, st, why);
-          state->results[i].queue_seconds = queue_seconds;
-          record(state->results[i], graph_name_of(state->reqs[i]));
-        }
-        done->set_value();
-      };
-      job.run = [this, state, done, enqueued, mine = std::move(mine)] {
-        // One lease serves the whole slice, but it is acquired through the
-        // same deadline/lease_timeout-bounded path as run_one — an
-        // exhausted pool sheds or deadline-fails each query instead of
-        // wedging the worker on an untimed acquire.  On a lease failure the
-        // *next* query retries: its own deadline may still have room, and
-        // after a bad_alloc the unclaimed capacity slot stays claimable.
-        WorkspacePool::Lease lease;
-        for (std::size_t i : mine) {
-          const auto& token = state->tokens[i];
-          QueryResult& r = state->results[i];
-          // Per-query stamp at *this* query's execution start: later
-          // queries in the slice really did wait behind the earlier ones
-          // holding the shared lease, and their queue_seconds must say so.
-          const Clock::time_point query_start = Clock::now();
-          if (token != nullptr && token->should_stop()) {
-            r = unrun_result(state->reqs[i].algorithm,
-                             status_of(token->state()),
-                             token->state() ==
-                                     sys::CancelState::kDeadlineExceeded
-                                 ? "deadline exceeded in queue"
-                                 : "cancelled in queue");
-          } else if (lease.valid() ||
-                     acquire_lease(state->reqs[i].algorithm, token,
-                                   query_start, &lease, &r)) {
-            r = execute(state->prepared[i], token, *lease, queue_depth());
-            maybe_cache(state->prepared[i], r);
-          }
-          r.queue_seconds = seconds_between(enqueued, query_start);
-          record(r, graph_name_of(state->reqs[i]));
-        }
-        lease.release();
-        done->set_value();
-      };
-      // enqueue leaves `job` intact on both failure paths; job.drop holds
-      // its own copy of the slice's indices (`mine` moved into job.run).
-      bool admitted = false;
-      try {
-        admitted = enqueue(std::move(job));
-      } catch (const std::runtime_error&) {
-        // shutdown() landed between the entry check and this slice: cancel
-        // the slice like any other queued-at-shutdown work instead of
-        // throwing a half-dispatched batch at the caller.
-        job.drop(QueryStatus::kCancelled, "service shutdown");
-        continue;
-      }
-      if (!admitted) {
-        // Queue full: this slice is refused as a unit; its queries resolve
-        // kShed right here on the submitter's thread.
-        job.drop(QueryStatus::kShed, "queue full (max_queue_depth)");
-      }
-    }
-  }
-  for (auto& f : slices) f.wait();
+  for (std::size_t i = 0; i < reqs.size(); ++i)
+    if (futs[i].valid()) results[i] = futs[i].get();
   {
     sys::MutexLock lock(stats_m_);
     ++stats_.batches;
   }
-  return std::move(state->results);
+  return results;
 }
 
 QueryResult GraphService::execute(

@@ -39,9 +39,7 @@
 //   * admission control never blocks the submitter: a full queue sheds
 //     immediately (max_queue_depth), a stale queue entry sheds at dequeue
 //     (admission_timeout), and a worker waits at most lease_timeout for
-//     scratch (try_acquire_until) so it can never wedge on the pool — on
-//     the submit path and the run_batch slice path alike (both go through
-//     the same acquire_lease helper);
+//     scratch (try_acquire_until) so it can never wedge on the pool;
 //   * past Overload::queue_watermark queued entries, iterative algorithms'
 //     iteration caps are clamped (degrading accuracy before availability);
 //     clamped results carry QueryResult::degraded.
@@ -62,19 +60,14 @@
 //     so its traversals visit home-domain partitions first and its
 //     workspace leases prefer scratch last used on the same domain.
 //
-// submit() runs one query and returns a future.  run_batch() groups
-// same-algorithm requests and splits each group into per-worker slices; a
-// slice leases ONE workspace and reuses it (and the resolved default
-// source, and warm frontier buffers) across all its queries, amortising
-// per-query setup exactly the way the partition-centric literature batches
-// many sources over one partitioned structure.
+// submit() is the one execution path: it queues one query and returns a
+// future.  run_batch() is a convenience over it (submit all, wait all).
 #pragma once
 
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -278,11 +271,12 @@ class GraphService {
   /// unconditionally.  Throws only after shutdown().
   [[nodiscard]] std::future<QueryResult> submit(QueryRequest req);
 
-  /// Execute a batch, grouping same-algorithm requests into per-worker
-  /// slices that share one workspace lease each; blocks until every query
-  /// finishes and returns results in request order.  Slices refused by
-  /// admission control resolve their queries kShed.  Must not be called
-  /// from inside a worker (it waits on the same queue it feeds).
+  /// Submit every request in order, wait for all of them and return the
+  /// results in request order.  Each request is admitted exactly like a
+  /// submit() (a full queue sheds it, not the batch); requests the batch
+  /// could not submit because shutdown() landed partway resolve kCancelled.
+  /// Throws when called after shutdown().  Must not be called from inside a
+  /// worker (it waits on the same queue it feeds).
   [[nodiscard]] std::vector<QueryResult> run_batch(
       std::vector<QueryRequest> reqs);
 
@@ -327,42 +321,40 @@ class GraphService {
     ResultCache::Key key;
   };
 
-  /// One queue entry.  `run` executes the query; `drop` resolves its
-  /// future(s) with a terminal status *without* executing — the path taken
-  /// when the entry is shed at dequeue or stolen by shutdown().  Exactly one
-  /// of the two is invoked, exactly once.
+  /// One admitted query.  Its promise is resolved exactly once: by
+  /// run_one(), or by drop() when the entry is shed at dequeue or stolen by
+  /// shutdown().
   struct Job {
-    std::function<void()> run;
-    std::function<void(QueryStatus, const std::string&)> drop;
+    Prepared prep;
+    std::shared_ptr<sys::CancelToken> token;
+    std::promise<QueryResult> promise;
+    std::string graph;  ///< catalog name, for the per-graph stats
     Clock::time_point enqueued;
   };
 
   void start_workers() GRIND_EXCLUDES(shutdown_m_);
   void worker_loop(std::size_t index) GRIND_EXCLUDES(queue_m_);
+  /// Throws std::runtime_error naming `call` once shutdown() has begun.
+  void throw_if_stopped(const char* call) const GRIND_EXCLUDES(queue_m_);
   /// False when the queue is full — `job` is left intact so the caller can
-  /// invoke its drop handler.  Throws after shutdown.
-  [[nodiscard]] bool enqueue(Job&& job) GRIND_EXCLUDES(queue_m_);
+  /// resolve it.  Throws after shutdown.
+  [[nodiscard]] bool enqueue(Job& job) GRIND_EXCLUDES(queue_m_);
   /// Resolve a request end to end on the submitter's thread: catalog
   /// lookup, registry lookup, per-graph default source, schema resolution,
   /// cache probe.  True ⇒ `out` is ready to execute; false ⇒ `*early` is
   /// the terminal result (validation error or cache hit).  Never throws.
   [[nodiscard]] bool prepare(const QueryRequest& req, Prepared* out,
                              QueryResult* early);
-  /// Lease a workspace, waiting no longer than the query's deadline and
-  /// cfg_.lease_timeout allow (unbounded only when neither is set).  False
-  /// ⇒ `*failure` carries the kShed / kDeadlineExceeded / kCancelled /
-  /// kError resolution (queue_seconds not yet stamped).  Never throws —
-  /// this is the single lease path for run_one AND batch slices, so the
-  /// lease-timeout guarantee holds on both.
-  [[nodiscard]] bool acquire_lease(
-      const std::string& algorithm,
-      const std::shared_ptr<sys::CancelToken>& token, Clock::time_point start,
-      WorkspacePool::Lease* lease, QueryResult* failure);
-  /// Lease a workspace under the query's deadline/lease-timeout bounds and
-  /// execute; produces the terminal QueryResult (never throws).
-  [[nodiscard]] QueryResult run_one(const Prepared& prep,
-                                    const std::shared_ptr<sys::CancelToken>& token,
-                                    Clock::time_point enqueued);
+  /// Lease a workspace and execute the dequeued job, then resolve its
+  /// future.  The lease wait is bounded by the query's deadline and
+  /// cfg_.lease_timeout (unbounded only when neither is set); a failed wait
+  /// resolves kShed / kDeadlineExceeded / kCancelled / kError.  The one
+  /// place a query leases a workspace; never throws.
+  void run_one(Job& job);
+  /// Resolve a queued job with a terminal status without executing it.
+  void drop(Job& job, QueryStatus status, const char* why);
+  /// Record `r` and hand it to the job's future.
+  void finish(Job& job, QueryResult r);
   /// Run one prepared query on a leased workspace (no locks held); never
   /// throws.
   [[nodiscard]] QueryResult execute(

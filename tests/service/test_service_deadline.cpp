@@ -63,6 +63,25 @@ TEST(ServiceDeadline, ShortDeadlineResolvesDeadlineExceededWithProgress) {
   EXPECT_EQ(svc.stats().queries_completed, 1u);
 }
 
+TEST(ServiceDeadline, BeliefPropagationHonoursADeadline) {
+  // BP's message-passing loop stops through the same edge-map boundary
+  // polls as PR: no per-algorithm code in the service.
+  ServiceConfig cfg;
+  cfg.workers = 1;
+  GraphService svc(build_test_graph(), cfg);
+
+  QueryRequest req("BP");
+  req.params.set("iterations", 1000000);
+  req.deadline = milliseconds(150);
+  const QueryResult r = svc.submit(std::move(req)).get();
+
+  EXPECT_EQ(r.status, QueryStatus::kDeadlineExceeded) << r.error;
+  EXPECT_TRUE(r.value.empty());
+  EXPECT_GT(r.iterations_done, 0);
+  EXPECT_LT(r.seconds, 30.0);  // generous bound for sanitizer jobs
+  EXPECT_EQ(svc.pool().in_use(), 0u);
+}
+
 TEST(ServiceDeadline, ExternalCancelStopsARunningQuery) {
   ServiceConfig cfg;
   cfg.workers = 1;
@@ -252,12 +271,12 @@ TEST(ServiceDeadline, BatchRequestsHonourPerRequestDeadlines) {
 }
 
 TEST(ServiceDeadline, BatchLeaseWaitHonoursDeadlinesAgainstStarvedPool) {
-  // Regression: run_batch's slice path used to lease via an *untimed*
-  // pool_.acquire(), ignoring both lease_timeout and the queries' own
-  // deadlines — a fully-leased pool wedged the batch (and its worker)
-  // forever.  With the fix, slices go through the same bounded
-  // acquire_lease path as submit(): every deadline-carrying future below
-  // must resolve on its own, before the hostage lease is ever returned.
+  // Regression: run_batch once leased through a path of its own that used
+  // an *untimed* pool_.acquire(), ignoring both lease_timeout and the
+  // queries' own deadlines — a fully-leased pool wedged the batch (and its
+  // worker) forever.  Batch queries now run through submit()'s bounded
+  // lease wait: every deadline-carrying future below must resolve on its
+  // own, before the hostage lease is ever returned.
   ServiceConfig cfg;
   cfg.workers = 1;
   cfg.pool_capacity = 1;
@@ -295,7 +314,7 @@ TEST(ServiceDeadline, BatchLeaseWaitHonoursDeadlinesAgainstStarvedPool) {
 
 TEST(ServiceDeadline, BatchLeaseTimeoutShedsLikeSubmit) {
   // Same resolution matrix as submit(): with no deadlines but a configured
-  // lease_timeout, a starved slice sheds each query instead of wedging.
+  // lease_timeout, a starved pool sheds each query instead of wedging.
   ServiceConfig cfg;
   cfg.workers = 1;
   cfg.pool_capacity = 1;
@@ -322,6 +341,47 @@ TEST(ServiceDeadline, BatchLeaseTimeoutShedsLikeSubmit) {
   }
   // The pool is whole again afterwards.
   EXPECT_TRUE(svc.run_batch({QueryRequest("CC")})[0].ok());
+}
+
+TEST(ServiceDeadline, BatchShedsPerQueryLikeSubmit) {
+  // A batch is admitted request by request, exactly like submit(): with
+  // room for two queued entries, the first two requests of a four-request
+  // batch queue and the last two shed "queue full".
+  ServiceConfig cfg;
+  cfg.workers = 1;
+  cfg.pool_capacity = 1;
+  cfg.max_queue_depth = 2;
+  GraphService svc(build_test_graph(), cfg);
+  auto hostage = svc.pool().acquire();
+
+  // Wedge the worker: it pops this query, then blocks on the hostage lease.
+  auto first = svc.submit(QueryRequest("CC"));
+  while (svc.queue_depth() > 0) std::this_thread::yield();
+
+  auto batch = std::async(std::launch::async, [&svc] {
+    return svc.run_batch(std::vector<QueryRequest>(4, QueryRequest("CC")));
+  });
+  // Release the worker only once all four requests were admitted or shed;
+  // bounded, so a batch admitted as one unit fails here instead of hanging.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while ((svc.queue_depth() < 2 || svc.stats().queries_shed < 2) &&
+         std::chrono::steady_clock::now() < give_up)
+    std::this_thread::sleep_for(milliseconds(1));
+  hostage.release();
+
+  ASSERT_EQ(batch.wait_for(std::chrono::seconds(30)),
+            std::future_status::ready);
+  EXPECT_TRUE(first.get().ok());
+  const auto results = batch.get();
+  ASSERT_EQ(results.size(), 4u);
+  for (std::size_t i = 0; i < 2; ++i)
+    EXPECT_TRUE(results[i].ok()) << i << ": " << results[i].error;
+  for (std::size_t i = 2; i < 4; ++i) {
+    EXPECT_EQ(results[i].status, QueryStatus::kShed) << i;
+    EXPECT_NE(results[i].error.find("queue full"), std::string::npos)
+        << results[i].error;
+  }
 }
 
 TEST(ServiceDeadline, AdmissionTimeoutShedStampsRealQueueWait) {
@@ -375,14 +435,14 @@ TEST(ServiceDeadline, ShutdownCancelledQueueEntryStampsQueueWait) {
 }
 
 TEST(ServiceDeadline, BatchQueueSecondsAreMonotonicWithinASlice) {
-  // Regression: every query in a run_batch slice used to report the
-  // slice's *initial* queue wait, hiding the time later queries spent
-  // behind earlier ones on the shared lease.  With per-query stamping the
-  // waits are non-decreasing in slice order, and the last query (which
+  // Regression: batch queries once all reported the batch's *initial*
+  // queue wait, hiding the time later queries spent behind earlier ones.
+  // Each query's queue_seconds is its own wait, so with one worker the
+  // waits are non-decreasing in request order, and the last query (which
   // waited behind three real PR runs) reports strictly more than the
   // first.
   ServiceConfig cfg;
-  cfg.workers = 1;  // one slice, executed in request order
+  cfg.workers = 1;  // executed in request order
   GraphService svc(build_test_graph(), cfg);
 
   std::vector<QueryRequest> reqs;

@@ -120,28 +120,49 @@ TEST_F(ServiceFault, SlowWorkerStallTripsDeadline) {
 
 TEST_F(ServiceFault, MidQueryCancelViaEnginePollSite) {
   // "engine.poll-cancel" fires on the Nth edge-map boundary poll, forcing a
-  // deterministic mid-run cancel with no timing dependence.  PR polls twice
-  // per iteration (edge_map entry + post-sweep); firing on hit 7 stops the
-  // run after exactly 3 completed sweeps.
-  sys::fault::Spec spec;
-  spec.after = 6;
-  spec.limit = 1;
-  sys::fault::arm("engine.poll-cancel", spec);
-
+  // deterministic mid-run cancel with no timing dependence.  Every sweep
+  // over a non-empty frontier polls twice (edge_map entry + post-sweep), so
+  // firing on hit 2k+1 stops the run after exactly k completed sweeps.
   ServiceConfig cfg;
   cfg.workers = 1;
   GraphService svc(build_test_graph(), cfg);
 
-  QueryRequest req("PR");
-  req.params.set("iterations", 50);
-  // The fault site only fires when a token is being polled; any live token
-  // (deadline far in the future) switches polling on.
-  req.cancel = std::make_shared<sys::CancelToken>();
-  const QueryResult r = svc.submit(std::move(req)).get();
-  EXPECT_EQ(r.status, QueryStatus::kCancelled);
-  EXPECT_EQ(r.iterations_done, 3);
-  EXPECT_TRUE(r.value.empty());
-  EXPECT_EQ(svc.pool().in_use(), 0u);
+  // BC runs F forward sweeps, then F-1 transposed backward sweeps.  Take F
+  // from an unfaulted run on the same graph and (default) source, and fire
+  // past the forward phase and the first backward sweep, so the cancel
+  // lands in the second transposed sweep.
+  const QueryResult clean = svc.submit(QueryRequest("BC")).get();
+  ASSERT_TRUE(clean.ok()) << clean.error;
+  const int forward = (clean.iterations_done + 1) / 2;
+  ASSERT_GE(forward, 3) << "too shallow for two backward sweeps";
+
+  QueryRequest pr("PR");
+  pr.params.set("iterations", 50);
+  struct Case {
+    QueryRequest req;
+    int sweeps;        ///< completed sweeps before the fire
+    int min_progress;  ///< sweeps the run must have got past
+  };
+  const Case cases[] = {{pr, 3, 0}, {QueryRequest("BC"), forward + 1, forward}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.req.algorithm);
+    sys::fault::Spec spec;
+    spec.after = 2 * static_cast<std::uint64_t>(c.sweeps);
+    spec.limit = 1;
+    sys::fault::arm("engine.poll-cancel", spec);
+
+    QueryRequest req = c.req;
+    // The fault site only fires when a token is being polled; any live
+    // token (no deadline) switches polling on.
+    req.cancel = std::make_shared<sys::CancelToken>();
+    const QueryResult r = svc.submit(std::move(req)).get();
+    EXPECT_EQ(r.status, QueryStatus::kCancelled) << r.error;
+    EXPECT_EQ(sys::fault::triggered("engine.poll-cancel"), 1u);
+    EXPECT_EQ(r.iterations_done, c.sweeps);
+    EXPECT_GT(r.iterations_done, c.min_progress);
+    EXPECT_TRUE(r.value.empty());
+    EXPECT_EQ(svc.pool().in_use(), 0u);
+  }
 }
 
 TEST_F(ServiceFault, ChaosSweepLeavesNoLeakedLeasesOrHungFutures) {

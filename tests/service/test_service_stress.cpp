@@ -195,7 +195,7 @@ TEST(ServiceStress, RunBatchGroupsSameAlgorithmAndPreservesOrder) {
   const auto sources = pick_sources(svc.graph(), 8);
   const Expected expected = Expected::compute(svc.graph(), sources);
 
-  // Interleave algorithms so grouping has to reorder work but not results.
+  // Interleave algorithms: results must come back in request order.
   std::vector<QueryRequest> reqs;
   std::vector<vid_t> req_source;
   for (std::size_t i = 0; i < sources.size(); ++i) {
@@ -211,8 +211,8 @@ TEST(ServiceStress, RunBatchGroupsSameAlgorithmAndPreservesOrder) {
   const auto results = svc.run_batch(std::move(reqs));
   ASSERT_EQ(results.size(), req_source.size());
   for (std::size_t i = 0; i < results.size(); ++i) {
-    // Result i must correspond to request i (order preserved across the
-    // grouped execution).
+    // Result i must correspond to request i (order preserved across
+    // concurrent execution on four workers).
     switch (i % 3) {
       case 0: ASSERT_EQ(results[i].algorithm, "BFS"); break;
       case 1: ASSERT_EQ(results[i].algorithm, "PR"); break;
@@ -299,9 +299,25 @@ TEST(ServiceStress, SubmitAfterShutdownThrows) {
   EXPECT_THROW((void)svc.submit(make_request("CC")), std::runtime_error);
 }
 
+TEST(ServiceStress, SubmitAfterShutdownThrowsEvenForInvalidOrCachedRequests) {
+  // Regression: submit() validated the request and probed the result cache
+  // before it looked at the shutdown flag, so after shutdown() an invalid
+  // request or a cache hit still came back as a resolved future.
+  ServiceConfig cfg;
+  cfg.result_cache_capacity = 4;
+  GraphService svc(build_test_graph(), cfg);
+  ASSERT_TRUE(svc.submit(make_request("PR")).get().ok());
+  ASSERT_TRUE(svc.submit(make_request("PR")).get().cached);  // primed
+  svc.shutdown();
+  EXPECT_THROW((void)svc.submit(QueryRequest("NoSuchAlgo")),
+               std::runtime_error);
+  EXPECT_THROW((void)svc.submit(make_request("PR")), std::runtime_error);
+  EXPECT_EQ(svc.stats().queries_completed, 2u);
+}
+
 TEST(ServiceStress, RunBatchAfterShutdownThrows) {
-  // Regression: a post-shutdown batch used to enqueue zero slices (the
-  // worker list is empty) and return fabricated default-success results.
+  // Regression: a post-shutdown batch used to enqueue nothing (the worker
+  // list is empty) and return fabricated default-success results.
   GraphService svc(build_test_graph());
   svc.shutdown();
   std::vector<QueryRequest> reqs(3, make_request("CC"));
@@ -337,9 +353,10 @@ TEST(ServiceStress, QueriesQueuedAtShutdownResolveCancelled) {
 }
 
 TEST(ServiceStress, ShutdownCancelsQueuedBatchSlices) {
-  // run_batch slices queued at shutdown resolve kCancelled instead of
-  // leaving the batch caller waiting forever.  The batch runs on a second
-  // thread (it blocks); shutdown fires while its slices sit behind the
+  // run_batch queries queued at shutdown resolve kCancelled instead of
+  // leaving the batch caller waiting forever, and so do the ones the batch
+  // had not submitted yet when shutdown landed.  The batch runs on a second
+  // thread (it blocks); shutdown fires while its queries sit behind the
   // hostage lease.
   ServiceConfig cfg;
   cfg.workers = 1;
@@ -348,7 +365,7 @@ TEST(ServiceStress, ShutdownCancelsQueuedBatchSlices) {
   auto hostage = svc.pool().acquire();
 
   // Wedge the worker first: it pops this query, then blocks acquiring the
-  // hostage-held workspace — so the batch slice below stays queued.
+  // hostage-held workspace — so the batch queries below stay queued.
   auto first = svc.submit(make_request("CC"));
   while (svc.queue_depth() > 0) std::this_thread::yield();
 

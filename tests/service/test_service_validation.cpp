@@ -69,7 +69,8 @@ TEST(ServiceValidation, MaximumValidSourceIsAccepted) {
 }
 
 TEST(ServiceValidation, BatchWithMixedValidityKeepsPositions) {
-  // Failures must not shift result positions in a grouped batch.
+  // Requests resolved at submission (validation failures) must not shift
+  // the positions of the ones that ran.
   GraphService svc(small_graph());
   const vid_t bad = svc.graph().num_vertices() + 1;
   std::vector<QueryRequest> reqs;

@@ -9,6 +9,8 @@ that sit above any single lock:
                            itself — the exact bug class of PR 8, where a batch
                            slice's untimed pool_.acquire() bypassed
                            lease_timeout and wedged deadline-carrying batches.
+                           (The slice path is gone: run_batch now loops over
+                           submit(), and the service has one lease path.)
   throw-in-omp-parallel    no `throw` lexically inside an `#pragma omp
                            parallel` region — an exception escaping an OpenMP
                            region is std::terminate; kernels early-out and
