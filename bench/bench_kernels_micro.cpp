@@ -1,15 +1,18 @@
 // Google-benchmark microbenchmarks of the individual traversal kernels and
 // substrate primitives — the per-edge costs behind every figure — plus a
 // counting-allocator audit proving that steady-state edge_map iterations
-// (iteration ≥ 2 of PageRank / the second BFS run on a warm engine) perform
-// zero heap allocations when driven through a TraversalWorkspace.
+// (iteration ≥ 2 of PageRank / the second BFS run on a warm engine /
+// round ≥ 2 of PageRank-delta, edge_map plus vertex_map) perform zero heap
+// allocations when driven through a TraversalWorkspace.
 //
 // The audit emits one JSON object to stdout (before the benchmark table) so
 // successive PRs can track the allocation/time trajectory mechanically:
 //   {"bench":"steady_state_audit","graph":"rmat16", ...}
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
@@ -17,6 +20,7 @@
 
 #include "algorithms/bfs.hpp"
 #include "algorithms/pagerank.hpp"
+#include "algorithms/pagerank_delta.hpp"
 #include "engine/edge_map.hpp"
 #include "engine/engine.hpp"
 #include "graph/generators.hpp"
@@ -374,6 +378,54 @@ void audit_bfs(engine::Engine& eng, vid_t source,
   total_ms = run(/*record=*/true) * 1e3;
 }
 
+/// PageRank-delta on one engine, the algorithm's own loop
+/// (algorithms/pagerank_delta.hpp), run twice: the second run's per-round
+/// allocation counts of the edge_map plus the vertex_map that filters
+/// significant receivers are the steady-state numbers (pools warm from run
+/// 1, which met every regime — dense, medium, sparse — once already).
+void audit_pagerank_delta(engine::Engine& eng,
+                          std::vector<std::uint64_t>& per_round_allocs) {
+  const auto& g = eng.graph();
+  const vid_t n = g.num_vertices();
+  const algorithms::PageRankDeltaOptions popts;
+  const double inv_n = 1.0 / static_cast<double>(n);
+  const double threshold = popts.epsilon * inv_n;
+  std::vector<double> delta(n);
+  std::vector<double> contrib(n, 0.0);
+  std::vector<double> acc(n, 0.0);
+  std::vector<unsigned char> claimed(n, 0);
+  auto run = [&](bool record) {
+    std::fill(delta.begin(), delta.end(), inv_n);
+    Frontier frontier = Frontier::all(n, &g.csr());
+    for (int round = 0; round < popts.max_rounds && !frontier.empty();
+         ++round) {
+      const std::uint64_t before = allocs_now();
+      eng.vertex_foreach(frontier, [&](vid_t v) {
+        const eid_t deg = g.out_degree(v);
+        contrib[v] = deg > 0 ? popts.damping * delta[v] /
+                                   static_cast<double>(deg)
+                             : 0.0;
+      });
+      Frontier received = eng.edge_map(
+          frontier, algorithms::detail::PrDeltaOp{
+                        {}, contrib.data(), acc.data(), claimed.data()});
+      Frontier next = eng.vertex_map(received, [&](vid_t v) {
+        claimed[v] = 0;
+        delta[v] = acc[v];
+        acc[v] = 0.0;
+        return std::fabs(delta[v]) > threshold;
+      });
+      eng.recycle(frontier);
+      eng.recycle(received);
+      frontier = std::move(next);
+      if (record) per_round_allocs.push_back(allocs_now() - before);
+    }
+    eng.recycle(frontier);
+  };
+  run(/*record=*/false);  // warm the pools
+  run(/*record=*/true);
+}
+
 void run_steady_state_audit() {
   const auto& g = micro_graph();
   engine::Options opts;
@@ -398,6 +450,10 @@ void run_steady_state_audit() {
   double bfs_ms = 0.0;
   audit_bfs(bfs_eng, bench::max_out_degree_vertex(g), bfs_allocs, bfs_ms);
 
+  engine::Engine prd_eng(g);  // kAuto: dense, medium and sparse rounds
+  std::vector<std::uint64_t> prd_allocs;
+  audit_pagerank_delta(prd_eng, prd_allocs);
+
   std::uint64_t pr_steady = 0;
   for (std::size_t i = 1; i < pr_allocs.size(); ++i) pr_steady += pr_allocs[i];
   std::uint64_t pcpm_steady = 0;
@@ -406,6 +462,9 @@ void run_steady_state_audit() {
   std::uint64_t bfs_steady = 0;
   for (std::size_t i = 1; i < bfs_allocs.size(); ++i)
     bfs_steady += bfs_allocs[i];
+  std::uint64_t prd_steady = 0;
+  for (std::size_t i = 1; i < prd_allocs.size(); ++i)
+    prd_steady += prd_allocs[i];
 
   std::printf("{\"bench\":\"steady_state_audit\",\"graph\":\"rmat16\","
               "\"vertices\":%llu,\"edges\":%llu,",
@@ -424,8 +483,12 @@ void run_steady_state_audit() {
                   pcpm_eng.stats().pcpm_bin_bytes));
   std::printf("\"bfs_auto\":{\"per_round_allocs\":");
   print_u64_array(bfs_allocs);
-  std::printf(",\"steady_state_allocs\":%llu,\"total_ms\":%.3f}}\n",
+  std::printf(",\"steady_state_allocs\":%llu,\"total_ms\":%.3f},",
               static_cast<unsigned long long>(bfs_steady), bfs_ms);
+  std::printf("\"pagerank_delta_auto\":{\"per_round_allocs\":");
+  print_u64_array(prd_allocs);
+  std::printf(",\"steady_state_allocs\":%llu}}\n",
+              static_cast<unsigned long long>(prd_steady));
   std::fflush(stdout);
 }
 

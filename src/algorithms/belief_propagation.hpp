@@ -45,7 +45,7 @@ struct BeliefPropagationResult {
 
 namespace detail {
 
-struct BpOp {
+struct BpOp : engine::CondTrue {
   const double* b0;
   double* acc0;
   double* acc1;
@@ -76,7 +76,6 @@ struct BpOp {
     atomic_add(acc1[d], std::log(m1));
     return false;
   }
-  [[nodiscard]] bool cond(vid_t) const { return true; }
 
   // Scatter-gather decomposition (engine/traverse_pcpm.hpp): BP's message
   // is a *pair* of log-potentials, so its scatter value is a two-field
@@ -136,8 +135,9 @@ BeliefPropagationResult belief_propagation(Eng& eng,
     parallel_for(0, n, [&](std::size_t v) { acc0[v] = acc1[v] = 0.0; });
 
     Frontier out =
-        eng.edge_map(all, detail::BpOp{r.belief0.data(), acc0.data(),
-                                       acc1.data(), opts.q_base, opts.q_scale});
+        eng.edge_map(all, detail::BpOp{{}, r.belief0.data(), acc0.data(),
+                                       acc1.data(), opts.q_base,
+                                       opts.q_scale});
     if constexpr (requires { eng.recycle(out); }) eng.recycle(out);
 
     parallel_for(0, n, [&](std::size_t v) {

@@ -36,7 +36,7 @@ struct BellmanFordResult {
 
 namespace detail {
 
-struct BfOp {
+struct BfOp : engine::CondTrue {
   double* dist;
   unsigned char* claimed;
 
@@ -56,7 +56,6 @@ struct BfOp {
     if (atomic_write_min(dist[d], cand)) return atomic_claim(claimed[d]);
     return false;
   }
-  [[nodiscard]] bool cond(vid_t) const { return true; }
 };
 
 }  // namespace detail
@@ -82,7 +81,7 @@ BellmanFordResult bellman_ford(Eng& eng, vid_t source) {
   // Non-negative weights ⇒ at most |V| rounds; cap defensively anyway.
   while (!frontier.empty() && r.rounds < static_cast<int>(n) + 1) {
     Frontier next =
-        eng.edge_map(frontier, detail::BfOp{r.dist.data(), claimed.data()});
+        eng.edge_map(frontier, detail::BfOp{{}, r.dist.data(), claimed.data()});
     ++r.rounds;
     engine::vertex_foreach(next, [&](vid_t v) { claimed[v] = 0; });
     if constexpr (requires { eng.recycle(frontier); }) eng.recycle(frontier);

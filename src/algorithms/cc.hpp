@@ -40,7 +40,7 @@ namespace detail {
 /// Min-label propagation with per-round claim flags: update may improve a
 /// destination's label several times per round, but the destination enters
 /// the next frontier exactly once (the Ligra update contract).
-struct CcOp {
+struct CcOp : engine::CondTrue {
   vid_t* labels;
   unsigned char* claimed;
 
@@ -59,7 +59,6 @@ struct CcOp {
       return atomic_claim(claimed[d]);
     return false;
   }
-  [[nodiscard]] bool cond(vid_t) const { return true; }
 };
 
 }  // namespace detail
@@ -78,8 +77,8 @@ CcResult connected_components(Eng& eng) {
   std::vector<unsigned char> claimed(n, 0);
   Frontier frontier = Frontier::all(n, &g.csr());
   while (!frontier.empty()) {
-    Frontier next =
-        eng.edge_map(frontier, detail::CcOp{r.labels.data(), claimed.data()});
+    Frontier next = eng.edge_map(
+        frontier, detail::CcOp{{}, r.labels.data(), claimed.data()});
     ++r.rounds;
     // Reset claim flags for exactly the vertices that entered the frontier.
     engine::vertex_foreach(next, [&](vid_t v) { claimed[v] = 0; });

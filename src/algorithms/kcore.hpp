@@ -48,7 +48,7 @@ struct KcoreResult {
 namespace detail {
 
 /// Count in-degrees with one full-frontier pass.
-struct KcoreIndegreeOp {
+struct KcoreIndegreeOp : engine::CondTrue {
   std::int64_t* deg;
 
   bool update(vid_t, vid_t d, weight_t) {
@@ -59,7 +59,6 @@ struct KcoreIndegreeOp {
     atomic_add(deg[d], std::int64_t{1});
     return false;
   }
-  [[nodiscard]] bool cond(vid_t) const { return true; }
 };
 
 /// A removed source takes one degree unit from every surviving neighbour.
@@ -98,7 +97,7 @@ KcoreResult kcore(Eng& eng) {
   std::vector<std::int64_t> deg(n, 0);
   {
     Frontier all = Frontier::all(n, &g.csr());
-    Frontier out = eng.edge_map(all, detail::KcoreIndegreeOp{deg.data()});
+    Frontier out = eng.edge_map(all, detail::KcoreIndegreeOp{{}, deg.data()});
     if constexpr (requires { eng.recycle(all); }) {
       eng.recycle(all);
       eng.recycle(out);

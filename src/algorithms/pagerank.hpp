@@ -37,7 +37,7 @@ namespace detail {
 /// Accumulate per-destination contribution sums.  update never activates
 /// next-frontier vertices: PR iterates a fixed number of rounds with a full
 /// frontier, so frontier maintenance would be wasted work.
-struct PrOp {
+struct PrOp : engine::CondTrue {
   const double* contrib;
   double* acc;
 
@@ -49,7 +49,6 @@ struct PrOp {
     atomic_add(acc[d], contrib[s]);
     return false;
   }
-  [[nodiscard]] bool cond(vid_t) const { return true; }
 
   // Scatter-gather decomposition (engine/traverse_pcpm.hpp): the
   // contribution is pure source state, the accumulate is pure destination
@@ -88,7 +87,8 @@ PageRankResult pagerank(Eng& eng, PageRankOptions opts = {}) {
       acc[v] = 0.0;
     });
 
-    Frontier next = eng.edge_map(all, detail::PrOp{contrib.data(), acc.data()});
+    Frontier next =
+        eng.edge_map(all, detail::PrOp{{}, contrib.data(), acc.data()});
     if constexpr (requires { eng.recycle(next); }) eng.recycle(next);
 
     parallel_for(0, n, [&](std::size_t v) {

@@ -57,7 +57,7 @@ namespace detail {
 
 /// Accumulate incoming delta mass; a destination joins the next frontier on
 /// first receipt (claim flag), significance is filtered afterwards.
-struct PrDeltaOp {
+struct PrDeltaOp : engine::CondTrue {
   const double* contrib;  // damping * delta[s] / deg⁺(s)
   double* acc;
   unsigned char* claimed;
@@ -74,7 +74,6 @@ struct PrDeltaOp {
     atomic_add(acc[d], contrib[s]);
     return atomic_claim(claimed[d]);
   }
-  [[nodiscard]] bool cond(vid_t) const { return true; }
 
   // Scatter-gather decomposition (engine/traverse_pcpm.hpp).  The claim
   // flag is destination state, so it moves to the gather side; the PCPM
@@ -128,7 +127,7 @@ PageRankDeltaResult pagerank_delta(Eng& eng, PageRankDeltaOptions opts = {}) {
 
     Frontier received = eng.edge_map(
         frontier,
-        detail::PrDeltaOp{contrib.data(), acc.data(), claimed.data()});
+        detail::PrDeltaOp{{}, contrib.data(), acc.data(), claimed.data()});
     ++r.rounds;
 
     // Fold accumulated deltas into ranks; keep only significant receivers.

@@ -24,7 +24,7 @@ struct SpmvResult {
 
 namespace detail {
 
-struct SpmvOp {
+struct SpmvOp : engine::CondTrue {
   const double* x;
   double* y;
 
@@ -36,7 +36,6 @@ struct SpmvOp {
     atomic_add(y[d], static_cast<double>(w) * x[s]);
     return false;
   }
-  [[nodiscard]] bool cond(vid_t) const { return true; }
 
   // Scatter-gather decomposition (engine/traverse_pcpm.hpp): the product
   // is computed on the scatter side with the same expression (and thus the
@@ -71,7 +70,7 @@ SpmvResult spmv(Eng& eng, const std::vector<double>& x = {}) {
   if (n == 0) return r;
 
   Frontier all = Frontier::all(n, &g.csr());
-  eng.edge_map(all, detail::SpmvOp{xv.data(), r.y.data()});
+  eng.edge_map(all, detail::SpmvOp{{}, xv.data(), r.y.data()});
   r.y = g.remap().values_to_original(std::move(r.y));
   return r;
 }

@@ -49,7 +49,7 @@ class GraphGrindV1Engine {
 
   template <typename Fn>
   Frontier vertex_map(const Frontier& f, Fn&& fn) {
-    return engine::vertex_map(*g_, f, std::forward<Fn>(fn));
+    return engine::vertex_map(*g_, f, std::forward<Fn>(fn), ws_);
   }
 
  private:

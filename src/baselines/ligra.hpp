@@ -45,7 +45,7 @@ class LigraEngine {
 
   template <typename Fn>
   Frontier vertex_map(const Frontier& f, Fn&& fn) {
-    return engine::vertex_map(*g_, f, std::forward<Fn>(fn));
+    return engine::vertex_map(*g_, f, std::forward<Fn>(fn), ws_);
   }
 
   /// Ligra's work-stealing grain: vertices per schedulable chunk.

@@ -51,7 +51,7 @@ class PolymerEngine {
 
   template <typename Fn>
   Frontier vertex_map(const Frontier& f, Fn&& fn) {
-    return engine::vertex_map(*g_, f, std::forward<Fn>(fn));
+    return engine::vertex_map(*g_, f, std::forward<Fn>(fn), ws_);
   }
 
   static constexpr vid_t kChunkVertices = 256;

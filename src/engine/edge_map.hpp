@@ -5,6 +5,9 @@
 //   weight >  |E|/20  →  medium-dense frontier → backward whole-CSC
 //   otherwise         →  sparse frontier       → forward whole-CSR
 //
+// except that a medium frontier of an operator with no destination filter
+// (FilterlessOperator) takes the forward push (see decide_traversal).
+//
 // "The distinction of forward vs. backward graph traversal folds into this
 // decision and need no longer be specified by the programmer" (abstract):
 // callers provide one operator with update / update_atomic / cond and the
@@ -57,8 +60,16 @@ inline void poll_cancel(const sys::CancelToken* token) {
 /// of edge-oriented algorithms take the binned path; a forced
 /// Layout::kPcpm without capability degrades to the dense COO, so sweeps
 /// may force the layout uniformly across operators.
+///
+/// `filters` is whether the operator's cond can reject a destination
+/// (edge_map passes false for a FilterlessOperator; it defaults to true, the
+/// classic decision).  Under Layout::kAuto a medium frontier of a
+/// filterless operator takes the sparse push: the backward gather earns the
+/// medium band by exiting early once a destination's cond turns false, so
+/// without a filter it reads all |E| in-edges where the push reads w.
 inline TraversalKind decide_traversal(eid_t w, eid_t m, const Options& opts,
-                                      bool pcpm_capable = false) {
+                                      bool pcpm_capable = false,
+                                      bool filters = true) {
   if (opts.layout == Layout::kSparseCsr) return TraversalKind::kSparseCsr;
   const auto sparse_cut =
       static_cast<double>(m) * opts.sparse_fraction;  // |E|/20
@@ -83,7 +94,8 @@ inline TraversalKind decide_traversal(eid_t w, eid_t m, const Options& opts,
   if (pcpm_capable && opts.orientation == Orientation::kEdge &&
       static_cast<double>(w) > static_cast<double>(m) * opts.pcpm_fraction)
     return TraversalKind::kPcpm;
-  if (static_cast<double>(w) <= dense_cut) return TraversalKind::kBackwardCsc;
+  if (static_cast<double>(w) <= dense_cut)
+    return filters ? TraversalKind::kBackwardCsc : TraversalKind::kSparseCsr;
   // Dense frontier: COO for edge-oriented algorithms; vertex-oriented ones
   // stay on the backward CSC (§IV-A's empirical classification).
   return opts.orientation == Orientation::kVertex
@@ -113,7 +125,7 @@ inline bool decide_atomics(const graph::Graph& g, const Options& opts) {
 /// `f` is taken by mutable reference because the engine may convert its
 /// representation (sparse list ↔ bitmap) in place; its logical content is
 /// unchanged.  `ws` supplies all transient kernel state (next-frontier
-/// bitmap, per-thread buffers, edge counters, schedules) from reusable
+/// bitmap, per-thread slots, edge counters, schedules) from reusable
 /// pools, so steady-state iterations of a traversal loop perform no heap
 /// allocation.
 ///
@@ -133,8 +145,9 @@ Frontier edge_map(const graph::Graph& g, Frontier& f, Op op,
   constexpr bool kForward = D == Direction::kForward;
   const bool pcpm_capable =
       kForward && ScatterGatherOperator<Op> && g.has_pcpm_bins();
-  TraversalKind kind = decide_traversal(direction_weight<D>(g, f),
-                                        g.num_edges(), opts, pcpm_capable);
+  TraversalKind kind =
+      decide_traversal(direction_weight<D>(g, f), g.num_edges(), opts,
+                       pcpm_capable, !FilterlessOperator<Op>);
   if (!kForward && kind != TraversalKind::kSparseCsr)
     kind = TraversalKind::kBackwardCsc;
   const bool atomics = decide_atomics(g, opts);

@@ -89,7 +89,7 @@ class Engine {
   /// Filtered vertex map over the active vertices.
   template <typename Fn>
   Frontier vertex_map(const Frontier& f, Fn&& fn) {
-    return engine::vertex_map(*graph_, f, std::forward<Fn>(fn));
+    return engine::vertex_map(*graph_, f, std::forward<Fn>(fn), workspace());
   }
 
   /// Unfiltered apply over the active vertices.

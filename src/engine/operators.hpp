@@ -12,7 +12,8 @@
 //                            "+a" kernels and sparse forward traversal.
 //   cond(d)                — destination filter; kernels skip (and backward
 //                            kernels early-exit on) destinations whose cond
-//                            is false.
+//                            is false.  Operators that never filter derive
+//                            from CondTrue instead.
 //
 // Helper adaptors below build operators from lambdas so simple algorithms
 // stay terse.
@@ -56,9 +57,19 @@ concept ScatterGatherOperator =
     };
 
 /// cond() that never filters — for algorithms updating every destination.
+/// Deriving from it (rather than writing `cond() { return true; }`) also
+/// marks the operator FilterlessOperator, which sends its medium frontiers
+/// to the sparse push (decide_traversal, edge_map.hpp).  Such operators are
+/// aggregate-initialised with a leading `{}` for the empty base.
 struct CondTrue {
   [[nodiscard]] bool cond(vid_t) const { return true; }
 };
+
+/// An edge operator whose cond() never filters, declared by deriving from
+/// CondTrue.
+template <typename Op>
+concept FilterlessOperator =
+    EdgeOperator<Op> && std::derived_from<Op, CondTrue>;
 
 /// Adaptor: build an EdgeOperator from three callables.
 template <typename Update, typename UpdateAtomic, typename Cond>

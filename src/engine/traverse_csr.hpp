@@ -9,13 +9,13 @@
 //
 // The output frontier is produced directly in sparse form: each thread
 // collects the destinations its updates activated (update_atomic returning
-// true claims the destination exactly once, the Ligra contract), and the
-// per-thread buffers are concatenated.
+// true claims the destination exactly once, the Ligra contract) in its own
+// cache-line-padded ThreadSlot, together with their degree sum, and the
+// slot lists are concatenated.  The output's |F| and Σ deg are therefore
+// known without a recount pass.
 #pragma once
 
 #include <omp.h>
-
-#include <vector>
 
 #include "engine/direction.hpp"
 #include "engine/operators.hpp"
@@ -46,15 +46,14 @@ Frontier traverse_csr_sparse(const graph::Graph& g, Frontier& f, Op& op,
   const graph::Csr& adj = push_index<D>(g);
   const auto offsets = adj.offsets();
   const auto verts = f.vertices();
-  const int nt = num_threads();
-  auto& buffers = ws.thread_buffers(static_cast<std::size_t>(nt));
-  auto& edge_counts = ws.edge_counters(static_cast<std::size_t>(nt));
+  const auto nt = static_cast<std::size_t>(num_threads());
+  auto& slots = ws.thread_slots(nt, g.num_vertices());
 
-#pragma omp parallel num_threads(nt)
+#pragma omp parallel num_threads(static_cast<int>(nt))
   {
-    const auto t = static_cast<std::size_t>(omp_get_thread_num());
-    auto& buf = buffers[t];
-    eid_t local_edges = 0;
+    ThreadSlot& slot = slots[static_cast<std::size_t>(omp_get_thread_num())];
+    eid_t edges = 0;
+    eid_t degree = 0;
 #pragma omp for schedule(dynamic, 16) nowait
     for (std::size_t i = 0; i < verts.size(); ++i) {
       const vid_t s = verts[i];
@@ -62,36 +61,29 @@ Frontier traverse_csr_sparse(const graph::Graph& g, Frontier& f, Op& op,
         __builtin_prefetch(&offsets[verts[i + 1]]);
       const auto neigh = adj.neighbors(s);
       const auto wts = adj.weights(s);
-      local_edges += neigh.size();
+      edges += neigh.size();
       for (std::size_t j = 0; j < neigh.size(); ++j) {
         if (prefetch && j + kCsrPrefetchDist < neigh.size())
           __builtin_prefetch(&neigh[j + kCsrPrefetchDist]);
         const vid_t d = neigh[j];
-        if (op.cond(d) && op.update_atomic(s, d, wts[j])) buf.push_back(d);
+        if (op.cond(d) && op.update_atomic(s, d, wts[j])) {
+          slot.list.push_back(d);
+          degree += adj.degree(d);
+        }
       }
     }
-    edge_counts[t] = local_edges;
+    slot.edges = edges;
+    slot.degree = degree;
   }
 
   if (edges_examined != nullptr) {
     eid_t total = 0;
-    for (std::size_t t = 0; t < static_cast<std::size_t>(nt); ++t)
-      total += edge_counts[t];
+    for (std::size_t t = 0; t < nt; ++t) total += slots[t].edges;
     *edges_examined = total;
   }
-
-  // Concatenate per-thread buffers into one sparse list (recycled capacity;
-  // ownership moves into the frontier and returns via
-  // Frontier::into_workspace).
-  std::size_t total_active = 0;
-  for (std::size_t t = 0; t < static_cast<std::size_t>(nt); ++t)
-    total_active += buffers[t].size();
-  std::vector<vid_t> next = ws.acquire_vertex_list();
-  next.reserve(total_active);
-  for (std::size_t t = 0; t < static_cast<std::size_t>(nt); ++t)
-    next.insert(next.end(), buffers[t].begin(), buffers[t].end());
-
-  return Frontier::from_vertices(g.num_vertices(), std::move(next), &adj);
+  // The concatenated list is pooled: ownership moves into the frontier and
+  // returns via Frontier::into_workspace.
+  return Frontier::from_thread_slots(g.num_vertices(), slots, nt, ws);
 }
 
 }  // namespace grind::engine

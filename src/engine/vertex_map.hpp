@@ -4,8 +4,7 @@
 
 #include <omp.h>
 
-#include <vector>
-
+#include "engine/workspace.hpp"
 #include "frontier/frontier.hpp"
 #include "graph/graph.hpp"
 #include "sys/bitmap.hpp"
@@ -40,12 +39,15 @@ void vertex_foreach_all(vid_t n, Fn&& fn) {
 
 /// Apply fn(v) -> bool to every active vertex; the output frontier contains
 /// the vertices for which fn returned true.  The representation of the
-/// output matches the input's.
+/// output matches the input's.  The output bitmap or list and the
+/// per-thread slots come from `ws`'s pools, so an iterative caller that
+/// recycles its frontiers allocates nothing at steady state.
 template <typename Fn>
-Frontier vertex_map(const graph::Graph& g, const Frontier& f, Fn&& fn) {
+Frontier vertex_map(const graph::Graph& g, const Frontier& f, Fn&& fn,
+                    TraversalWorkspace& ws) {
   if (f.is_dense()) {
     const Bitmap& bits = f.bitmap();
-    Bitmap next(f.num_vertices());
+    Bitmap next = ws.acquire_bitmap(f.num_vertices());
     // Word-parallel: each word is written by exactly one thread.
     parallel_for(0, bits.num_words(), [&](std::size_t w) {
       std::uint64_t word = bits.words()[w];
@@ -64,18 +66,23 @@ Frontier vertex_map(const graph::Graph& g, const Frontier& f, Fn&& fn) {
   }
 
   const auto verts = f.vertices();
-  const int nt = num_threads();
-  std::vector<std::vector<vid_t>> buffers(static_cast<std::size_t>(nt));
-#pragma omp parallel num_threads(nt)
+  const graph::Csr& out_adj = g.csr();
+  const auto nt = static_cast<std::size_t>(num_threads());
+  auto& slots = ws.thread_slots(nt, f.num_vertices());
+#pragma omp parallel num_threads(static_cast<int>(nt))
   {
-    auto& buf = buffers[static_cast<std::size_t>(omp_get_thread_num())];
+    ThreadSlot& slot = slots[static_cast<std::size_t>(omp_get_thread_num())];
+    eid_t degree = 0;
 #pragma omp for schedule(static) nowait
-    for (std::size_t i = 0; i < verts.size(); ++i)
-      if (fn(verts[i])) buf.push_back(verts[i]);
+    for (std::size_t i = 0; i < verts.size(); ++i) {
+      if (fn(verts[i])) {
+        slot.list.push_back(verts[i]);
+        degree += out_adj.degree(verts[i]);
+      }
+    }
+    slot.degree = degree;
   }
-  std::vector<vid_t> next;
-  for (auto& b : buffers) next.insert(next.end(), b.begin(), b.end());
-  return Frontier::from_vertices(f.num_vertices(), std::move(next), &g.csr());
+  return Frontier::from_thread_slots(f.num_vertices(), slots, nt, ws);
 }
 
 }  // namespace grind::engine

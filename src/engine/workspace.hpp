@@ -10,9 +10,9 @@
 //     cost tracks the previous frontier's density rather than |V|;
 //   * sparse vertex lists — the concatenated output of the sparse forward
 //     kernel, and the sparse representation built by Frontier::to_sparse;
-//   * per-thread push buffers — capacity retained across iterations, so the
-//     sparse kernel's push_back reallocations happen only while the high-
-//     water mark is still rising;
+//   * per-thread slots (ThreadSlot) — each thread's output list and counters
+//     on a cache line of its own; each list is sized for |V| once and kept,
+//     so push_back never reallocates;
 //   * per-chunk / per-thread edge counters and prefix-sum scratch;
 //   * prepared domain-affine schedules (per-domain item buckets + claim
 //     cursors, domain_sched.hpp), keyed by item set and thread budget.
@@ -43,6 +43,18 @@
 #include "sys/types.hpp"
 
 namespace grind::engine {
+
+/// One thread's private state in a per-thread filter (the sparse push,
+/// vertex_map): the vertices it activated, the edges it examined and the
+/// degree sum of its activated vertices.  Each slot owns a cache line, so
+/// the list's end-pointer writes and the counters of neighbouring threads
+/// never share one — a plain vector of vectors packs 2–3 list headers per
+/// line and the push stops scaling past one thread.
+struct alignas(kCacheLineBytes) ThreadSlot {
+  std::vector<vid_t> list;
+  eid_t edges = 0;
+  eid_t degree = 0;
+};
 
 class TraversalWorkspace {
  public:
@@ -98,19 +110,30 @@ class TraversalWorkspace {
     }
   }
 
-  /// An empty vertex list with whatever capacity a previous traversal left
-  /// behind.  Returns the largest-capacity pooled list so small lists (e.g.
-  /// the single-vertex seed frontier's) cannot keep forcing reallocations
-  /// once a run's high-water mark is known.
-  [[nodiscard]] std::vector<vid_t> acquire_vertex_list() {
-    if (lists_.empty()) return {};
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < lists_.size(); ++i)
-      if (lists_[i].capacity() > lists_[best].capacity()) best = i;
-    std::vector<vid_t> v = std::move(lists_[best]);
-    lists_[best] = std::move(lists_.back());
-    lists_.pop_back();
-    v.clear();
+  /// An empty vertex list with room for `size` vertices: the smallest
+  /// pooled list that fits (best fit keeps the big lists for the big
+  /// frontiers, so a workspace that has seen a run's list sizes once serves
+  /// them again without allocating), else the largest pooled list grown to
+  /// fit, else a new one.
+  [[nodiscard]] std::vector<vid_t> acquire_vertex_list(std::size_t size) {
+    const auto better = [size](std::size_t cap, std::size_t best) {
+      const bool fits = cap >= size;
+      if (fits != (best >= size)) return fits;
+      return fits ? cap < best : cap > best;
+    };
+    std::size_t pick = lists_.size();
+    for (std::size_t i = 0; i < lists_.size(); ++i)
+      if (pick == lists_.size() ||
+          better(lists_[i].capacity(), lists_[pick].capacity()))
+        pick = i;
+    std::vector<vid_t> v;
+    if (pick != lists_.size()) {
+      v = std::move(lists_[pick]);
+      lists_[pick] = std::move(lists_.back());
+      lists_.pop_back();
+      v.clear();
+    }
+    v.reserve(size);
     return v;
   }
 
@@ -129,12 +152,22 @@ class TraversalWorkspace {
       lists_[worst] = std::move(v);
   }
 
-  /// `nt` per-thread push buffers, each emptied but with retained capacity.
-  [[nodiscard]] std::vector<std::vector<vid_t>>& thread_buffers(
-      std::size_t nt) {
-    if (thread_bufs_.size() < nt) thread_bufs_.resize(nt);
-    for (std::size_t t = 0; t < nt; ++t) thread_bufs_[t].clear();
-    return thread_bufs_;
+  /// `nt` per-thread slots, each with its list emptied and its counters
+  /// zeroed.  Every list has room for `capacity` vertices (callers pass
+  /// |V|, the most one thread can emit), so a list never grows inside a
+  /// traversal: with dynamic scheduling any thread may draw the largest
+  /// share, and a growth-on-demand list would allocate whenever one does so
+  /// for the first time.  Untouched capacity costs address space only.
+  [[nodiscard]] std::vector<ThreadSlot>& thread_slots(std::size_t nt,
+                                                      std::size_t capacity) {
+    if (thread_slots_.size() < nt) thread_slots_.resize(nt);
+    for (std::size_t t = 0; t < nt; ++t) {
+      thread_slots_[t].list.clear();
+      thread_slots_[t].list.reserve(capacity);
+      thread_slots_[t].edges = 0;
+      thread_slots_[t].degree = 0;
+    }
+    return thread_slots_;
   }
 
   /// `n` zeroed edge counters (per chunk or per thread).
@@ -194,8 +227,8 @@ class TraversalWorkspace {
   void release_memory() {
     bitmaps_.clear();
     lists_.clear();
-    thread_bufs_.clear();
-    thread_bufs_.shrink_to_fit();
+    thread_slots_.clear();
+    thread_slots_.shrink_to_fit();
     counters_ = {};
     scratch_counts_ = {};
     scratch_offsets_ = {};
@@ -207,8 +240,10 @@ class TraversalWorkspace {
 
  private:
   std::vector<Bitmap> bitmaps_;
+  // grind-lint: allow(thread-state-unpadded) a pool of retired lists, not
+  // per-thread state: only the thread driving the traversal touches it.
   std::vector<std::vector<vid_t>> lists_;
-  std::vector<std::vector<vid_t>> thread_bufs_;
+  std::vector<ThreadSlot> thread_slots_;
   std::vector<eid_t> counters_;
   std::vector<std::size_t> scratch_counts_;
   std::vector<std::size_t> scratch_offsets_;

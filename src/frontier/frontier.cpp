@@ -45,6 +45,25 @@ Frontier Frontier::from_vertices(vid_t n, std::vector<vid_t> verts,
   return f;
 }
 
+Frontier Frontier::from_thread_slots(
+    vid_t n, const std::vector<engine::ThreadSlot>& slots, std::size_t nt,
+    engine::TraversalWorkspace& ws) {
+  std::size_t active = 0;
+  eid_t degree = 0;
+  for (std::size_t t = 0; t < nt; ++t) {
+    active += slots[t].list.size();
+    degree += slots[t].degree;
+  }
+  Frontier f;
+  f.n_ = n;
+  f.sparse_ = ws.acquire_vertex_list(active);
+  for (std::size_t t = 0; t < nt; ++t)
+    f.sparse_.insert(f.sparse_.end(), slots[t].list.begin(),
+                     slots[t].list.end());
+  f.set_stats(static_cast<vid_t>(active), degree);
+  return f;
+}
+
 Frontier Frontier::from_bitmap(Bitmap bits) {
   Frontier f;
   f.n_ = static_cast<vid_t>(bits.size());
@@ -87,7 +106,7 @@ void Frontier::to_sparse(engine::TraversalWorkspace& ws) {
   });
   const std::size_t total =
       exclusive_scan(block_counts.data(), block_offsets.data(), blocks);
-  if (sparse_.capacity() == 0) sparse_ = ws.acquire_vertex_list();
+  if (sparse_.capacity() == 0) sparse_ = ws.acquire_vertex_list(total);
   sparse_.resize(total);
   parallel_for(0, blocks, [&](std::size_t b) {
     std::size_t cursor = block_offsets[b];

@@ -17,6 +17,7 @@
 
 namespace grind::engine {
 class TraversalWorkspace;
+struct ThreadSlot;
 }  // namespace grind::engine
 
 namespace grind {
@@ -40,6 +41,13 @@ class Frontier {
   /// from `out` when provided).
   static Frontier from_vertices(vid_t n, std::vector<vid_t> verts,
                                 const graph::Csr* out = nullptr);
+
+  /// Sparse frontier concatenating the lists of the first `nt` per-thread
+  /// slots into a list drawn from `ws`'s pool.  The statistics come from the
+  /// slots (list lengths and degree accumulators), so nothing is recounted.
+  static Frontier from_thread_slots(
+      vid_t n, const std::vector<engine::ThreadSlot>& slots, std::size_t nt,
+      engine::TraversalWorkspace& ws);
 
   /// Dense frontier adopting a bitmap produced by a traversal.  Statistics
   /// must be provided by the caller or recomputed via recount().

@@ -7,6 +7,7 @@
 #include "algorithms/ref/reference.hpp"
 #include "engine/engine.hpp"
 #include "graph/generators.hpp"
+#include "sys/parallel.hpp"
 
 namespace grind::algorithms {
 namespace {
@@ -42,6 +43,22 @@ INSTANTIATE_TEST_SUITE_P(AllLayouts, CcLayouts,
                            return testing_support::layout_test_name(
                                info.param);
                          });
+
+TEST(Cc, AutoLayoutNeverPullsOnARoadLattice) {
+  // CC's min-label update has no destination filter: its medium frontiers
+  // take the push, and the labels stay the serial fixpoint.
+  const auto el = graph::road_lattice(96, 96, 0.05, 3);
+  const auto want = ref::cc_labels(el);
+  const Graph g = Graph::build(graph::EdgeList(el));
+  for (const int threads : {1, 4}) {
+    ThreadCountGuard guard(threads);
+    Engine eng(g);
+    const CcResult r = connected_components(eng);
+    EXPECT_EQ(eng.stats().calls_for(engine::TraversalKind::kBackwardCsc), 0u)
+        << "threads=" << threads;
+    EXPECT_EQ(r.labels, want) << "threads=" << threads;
+  }
+}
 
 TEST(Cc, DisjointCyclesGetDistinctLabels) {
   graph::EdgeList el;

@@ -9,6 +9,7 @@
 #include "algorithms/ref/reference.hpp"
 #include "engine/engine.hpp"
 #include "graph/generators.hpp"
+#include "sys/parallel.hpp"
 
 namespace grind::algorithms {
 namespace {
@@ -62,6 +63,29 @@ TEST(BellmanFord, RoadNetworkMatchesDijkstra) {
   Engine eng(g);
   const auto r = bellman_ford(eng, 12);
   expect_dist_match(el, r.dist, 12);
+}
+
+TEST(BellmanFord, AutoLayoutNeverPullsOnARoadLattice) {
+  // BF's relaxation has no destination filter, so Algorithm 2 sends its
+  // medium frontiers to the push instead of a full backward gather (which
+  // could never exit early); a forced backward layout still pulls.
+  const auto el = graph::road_lattice(96, 96, 0.05, 3);
+  const Graph g = Graph::build(graph::EdgeList(el));
+  const vid_t centre = 48 * 96 + 48;
+  for (const int threads : {1, 4}) {
+    ThreadCountGuard guard(threads);
+    Engine eng(g);
+    const auto r = bellman_ford(eng, centre);
+    EXPECT_EQ(eng.stats().calls_for(engine::TraversalKind::kBackwardCsc), 0u)
+        << "threads=" << threads;
+    expect_dist_match(el, r.dist, centre);
+  }
+  Options forced;
+  forced.layout = Layout::kBackwardCsc;
+  Engine eng(g, forced);
+  const auto r = bellman_ford(eng, centre);
+  EXPECT_GT(eng.stats().calls_for(engine::TraversalKind::kBackwardCsc), 0u);
+  expect_dist_match(el, r.dist, centre);
 }
 
 TEST(BellmanFord, SourceDistanceZeroUnreachedInfinite) {

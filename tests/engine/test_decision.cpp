@@ -1,6 +1,9 @@
 // Algorithm 2's decision procedure: thresholds, forcing, atomics policy.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "engine/edge_map.hpp"
 #include "engine/engine.hpp"
 #include "graph/generators.hpp"
@@ -54,6 +57,74 @@ TEST(Decision, CustomThresholds) {
   opts.sparse_fraction = 0.0;  // never sparse (weight 0 handled upstream)
   opts.dense_fraction = 0.0;   // always dense
   EXPECT_EQ(decide_traversal(1, 1000, opts), TraversalKind::kDenseCoo);
+}
+
+TEST(Decision, FilterlessOperatorsPushTheWholeMediumBand) {
+  const eid_t m = 2000;  // sparse cut 100, dense cut 1000
+  Options opts;
+  constexpr bool kFilterless = false;
+  for (eid_t w : {eid_t{0}, eid_t{100}, eid_t{101}, eid_t{550}, eid_t{1000}})
+    EXPECT_EQ(decide_traversal(w, m, opts, false, kFilterless),
+              TraversalKind::kSparseCsr)
+        << "w=" << w;
+  // The dense band is unchanged, for both orientations.
+  EXPECT_EQ(decide_traversal(1001, m, opts, false, kFilterless),
+            TraversalKind::kDenseCoo);
+  opts.orientation = Orientation::kVertex;
+  EXPECT_EQ(decide_traversal(1001, m, opts, false, kFilterless),
+            TraversalKind::kBackwardCsc);
+  EXPECT_EQ(decide_traversal(550, m, opts, false, kFilterless),
+            TraversalKind::kSparseCsr);
+  // The default call and a filtering operator keep the backward gather.
+  EXPECT_EQ(decide_traversal(101, m, opts), TraversalKind::kBackwardCsc);
+  EXPECT_EQ(decide_traversal(1000, m, opts, false, true),
+            TraversalKind::kBackwardCsc);
+  // Forced layouts still force the non-sparse choice.
+  for (const auto& [layout, kind] :
+       {std::pair{Layout::kBackwardCsc, TraversalKind::kBackwardCsc},
+        std::pair{Layout::kDenseCoo, TraversalKind::kDenseCoo},
+        std::pair{Layout::kPartitionedCsr, TraversalKind::kPartitionedCsr}}) {
+    Options forced;
+    forced.layout = layout;
+    EXPECT_EQ(decide_traversal(550, m, forced, false, kFilterless), kind)
+        << to_string(layout);
+  }
+}
+
+/// Accumulate-only operators that differ only in how they declare their
+/// (absent) filter: deriving from CondTrue, or an own cond returning true.
+struct CountInCondTrue : CondTrue {
+  bool update(vid_t, vid_t, weight_t) { return false; }
+  bool update_atomic(vid_t, vid_t, weight_t) { return false; }
+};
+struct CountInOwnCond {
+  bool update(vid_t, vid_t, weight_t) { return false; }
+  bool update_atomic(vid_t, vid_t, weight_t) { return false; }
+  [[nodiscard]] bool cond(vid_t) const { return true; }
+};
+static_assert(FilterlessOperator<CountInCondTrue>);
+static_assert(!FilterlessOperator<CountInOwnCond>);
+
+TEST(Decision, EdgeMapDerivesTheFilterFromTheOperatorType) {
+  const auto g = graph::Graph::build(graph::rmat(10, 8, 3));
+  const vid_t n = g.num_vertices();
+  // A medium frontier (between |E|/20 and |E|/2): vertices in id order
+  // until the weight passes |E|/4.
+  std::vector<vid_t> verts;
+  eid_t w = 0;
+  for (vid_t v = 0; v < n && w <= g.num_edges() / 4; ++v) {
+    verts.push_back(v);
+    w += 1 + g.out_degree(v);
+  }
+  Frontier f = Frontier::from_vertices(n, verts, &g.csr());
+  ASSERT_EQ(classify_density(f.traversal_weight(), g.num_edges()),
+            Density::kMedium);
+
+  Engine eng(g);
+  eng.edge_map(f, CountInCondTrue{});
+  EXPECT_EQ(eng.stats().calls_for(TraversalKind::kSparseCsr), 1u);
+  eng.edge_map(f, CountInOwnCond{});
+  EXPECT_EQ(eng.stats().calls_for(TraversalKind::kBackwardCsc), 1u);
 }
 
 TEST(Decision, AtomicsAutoFollowsPartitionVsThreadCount) {

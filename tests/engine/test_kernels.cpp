@@ -260,6 +260,42 @@ TEST(Kernels, ResultsIdenticalAcrossThreadCounts) {
   EXPECT_EQ(run(1), run(num_threads()));
 }
 
+TEST(Kernels, SparsePushStatisticsEqualRecountInBothDirections) {
+  // The push sums |F| and Σ deg (in the push direction) in its per-thread
+  // slots as it claims destinations; the totals must equal a recount of
+  // the output list, at one thread and at several.
+  for (const auto& [el, name] :
+       {std::pair{graph::road_lattice(64, 64, 0.05, 3), "lattice"},
+        std::pair{graph::rmat(11, 8, 17), "rmat"}}) {
+    const Graph g = Graph::build(graph::EdgeList(el));
+    const vid_t n = g.num_vertices();
+    std::vector<vid_t> verts;
+    for (vid_t v = 0; v < n; v += 7) verts.push_back(v);
+    for (const int threads : {1, 4}) {
+      ThreadCountGuard guard(threads);
+      TraversalWorkspace ws;
+      auto check = [&]<Direction D>() {
+        std::vector<std::uint64_t> acc(n, 0);
+        std::vector<unsigned char> claimed(n, 0);
+        SumOp op{acc.data(), claimed.data()};
+        Frontier f = Frontier::from_vertices(n, verts, &push_index<D>(g));
+        Frontier out = traverse_csr_sparse<D>(g, f, op, nullptr, ws);
+        const vid_t active = out.num_active();
+        const eid_t degree = out.active_out_degree();
+        EXPECT_GT(active, 0u);
+        out.recount(&push_index<D>(g));
+        EXPECT_EQ(active, out.num_active())
+            << name << " threads=" << threads;
+        EXPECT_EQ(degree, out.active_out_degree())
+            << name << " threads=" << threads;
+        out.into_workspace(ws);
+      };
+      check.template operator()<Direction::kForward>();
+      check.template operator()<Direction::kTranspose>();
+    }
+  }
+}
+
 /// Activates every destination it reaches, from every edge: each next-
 /// frontier bit is stored by whichever task gets there, the pattern that
 /// loses bits when concurrent tasks share a bitmap word non-atomically.

@@ -6,6 +6,7 @@
 
 #include "engine/engine.hpp"
 #include "graph/generators.hpp"
+#include "sys/parallel.hpp"
 
 namespace grind::engine {
 namespace {
@@ -15,7 +16,8 @@ using graph::Graph;
 TEST(VertexMap, FiltersActiveVerticesSparse) {
   const Graph g = Graph::build(graph::rmat(8, 4, 3));
   Frontier f = Frontier::from_vertices(g.num_vertices(), {2, 3, 4, 5, 6});
-  Frontier out = vertex_map(g, f, [](vid_t v) { return v % 2 == 0; });
+  TraversalWorkspace ws;
+  Frontier out = vertex_map(g, f, [](vid_t v) { return v % 2 == 0; }, ws);
   EXPECT_EQ(out.num_active(), 3u);
   EXPECT_TRUE(out.contains(2));
   EXPECT_FALSE(out.contains(3));
@@ -25,7 +27,8 @@ TEST(VertexMap, FiltersActiveVerticesSparse) {
 TEST(VertexMap, FiltersActiveVerticesDense) {
   const Graph g = Graph::build(graph::rmat(8, 4, 3));
   Frontier f = Frontier::all(g.num_vertices(), &g.csr());
-  Frontier out = vertex_map(g, f, [](vid_t v) { return v < 10; });
+  TraversalWorkspace ws;
+  Frontier out = vertex_map(g, f, [](vid_t v) { return v < 10; }, ws);
   EXPECT_EQ(out.num_active(), 10u);
   EXPECT_TRUE(out.is_dense());
   EXPECT_TRUE(out.contains(9));
@@ -35,9 +38,55 @@ TEST(VertexMap, FiltersActiveVerticesDense) {
 TEST(VertexMap, OutputCarriesDegreeStatistics) {
   const Graph g = Graph::build(graph::star(100));
   Frontier f = Frontier::all(g.num_vertices(), &g.csr());
-  Frontier out = vertex_map(g, f, [](vid_t v) { return v == 0; });
+  TraversalWorkspace ws;
+  Frontier out = vertex_map(g, f, [](vid_t v) { return v == 0; }, ws);
   EXPECT_EQ(out.num_active(), 1u);
   EXPECT_EQ(out.active_out_degree(), 99u);  // the hub's degree
+}
+
+TEST(VertexMap, SparseOutputStatisticsMatchRecount) {
+  // The sparse branch sums |F| and Σ deg⁺ in its per-thread slots instead
+  // of recounting; both must equal a recount at every thread count.
+  const Graph g = Graph::build(graph::rmat(12, 8, 7));
+  const vid_t n = g.num_vertices();
+  std::vector<vid_t> verts;
+  for (vid_t v = 0; v < n; v += 2) verts.push_back(v);
+  for (const int threads : {1, 4}) {
+    ThreadCountGuard guard(threads);
+    TraversalWorkspace ws;
+    const Frontier f = Frontier::from_vertices(n, verts, &g.csr());
+    Frontier out = vertex_map(g, f, [](vid_t v) { return v % 3 != 0; }, ws);
+    EXPECT_FALSE(out.is_dense());
+    const vid_t active = out.num_active();
+    const eid_t degree = out.active_out_degree();
+    out.recount(&g.csr());
+    EXPECT_EQ(active, out.num_active()) << "threads=" << threads;
+    EXPECT_EQ(degree, out.active_out_degree()) << "threads=" << threads;
+  }
+}
+
+TEST(VertexMap, OutputStorageComesFromTheWorkspacePools) {
+  const Graph g = Graph::build(graph::rmat(10, 4, 3));
+  const vid_t n = g.num_vertices();
+  TraversalWorkspace ws;
+  Frontier all = Frontier::all(n, &g.csr());
+
+  // Dense branch: a recycled bitmap is reused for the output.
+  Frontier first = vertex_map(g, all, [](vid_t v) { return v % 2 == 0; }, ws);
+  const std::uint64_t* words = first.bitmap().words();
+  first.into_workspace(ws);
+  Frontier second = vertex_map(g, all, [](vid_t v) { return v % 5 == 0; }, ws);
+  EXPECT_EQ(second.bitmap().words(), words);
+  EXPECT_EQ(second.num_active(), (n + 4) / 5);
+
+  // Sparse branch: a recycled list is reused for the output.
+  Frontier list = Frontier::from_vertices(n, {1, 2, 3, 4});
+  Frontier a = vertex_map(g, list, [](vid_t) { return true; }, ws);
+  const vid_t* data = a.vertices().data();
+  a.into_workspace(ws);
+  Frontier b = vertex_map(g, list, [](vid_t v) { return v > 2; }, ws);
+  EXPECT_EQ(b.vertices().data(), data);
+  EXPECT_EQ(b.num_active(), 2u);
 }
 
 TEST(VertexForeach, VisitsEachActiveVertexOnce) {

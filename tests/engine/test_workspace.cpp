@@ -150,12 +150,12 @@ TEST(WorkspacePool, BitmapPingPongReusesStorage) {
 
 TEST(WorkspacePool, VertexListKeepsCapacity) {
   TraversalWorkspace ws;
-  std::vector<vid_t> v = ws.acquire_vertex_list();
+  std::vector<vid_t> v = ws.acquire_vertex_list(0);
   v.reserve(4096);
   const vid_t* backing = v.data();
   ws.recycle_vertex_list(std::move(v));
 
-  std::vector<vid_t> w = ws.acquire_vertex_list();
+  std::vector<vid_t> w = ws.acquire_vertex_list(4096);
   EXPECT_EQ(w.data(), backing);
   EXPECT_TRUE(w.empty());
   EXPECT_GE(w.capacity(), 4096u);

@@ -37,6 +37,15 @@ that sit above any single lock:
                            call (atomic when partition boundaries share a
                            bitmap word, Partitioning::word_aligned); a bare
                            plain store races whenever boundary_align < 64.
+  thread-state-unpadded    per-thread mutable state in src/engine/ and
+                           src/frontier/ lives in the cache-line-padded
+                           engine::ThreadSlot — no container of vectors
+                           (`std::vector<std::vector<...>>` and kin) and no
+                           subscript by `omp_get_thread_num()` into anything
+                           but a slot array.  Adjacent vector headers share a
+                           cache line, so 2–4 threads appending to their own
+                           lists write one line, and the sparse push stopped
+                           scaling past one thread.
   service-engine-unleased  no engine::Engine construction in src/service/
                            without a leased workspace argument — an Engine
                            default-allocates private scratch, so a
@@ -362,6 +371,45 @@ def rule_kernel_bare_next_set(path, text):
     ]
 
 
+NESTED_VECTOR_RE = re.compile(
+    r"\bstd::(vector|array|deque)\s*<\s*std::vector\s*<"
+)
+THREAD_SUBSCRIPT_RE = re.compile(
+    r"(\w+)\s*\[\s*(?:static_cast\s*<[^>]*>\s*\()?\s*"
+    r"omp_get_thread_num\s*\(\s*\)"
+)
+
+
+def rule_thread_state_unpadded(path, text):
+    out = []
+    for idx, line in enumerate(text.splitlines()):
+        if NESTED_VECTOR_RE.search(line):
+            out.append(
+                (
+                    idx,
+                    "container of vectors — per-thread lists belong in "
+                    "engine::ThreadSlot (one cache line per thread, "
+                    "ws.thread_slots(nt)); adjacent vector headers "
+                    "false-share when threads append",
+                )
+            )
+        for m in THREAD_SUBSCRIPT_RE.finditer(line):
+            if "slot" not in m.group(1).lower():
+                out.append(
+                    (
+                        idx,
+                        f"`{m.group(1)}[omp_get_thread_num()]` — per-thread "
+                        "mutable state goes in a padded engine::ThreadSlot "
+                        "array, not a packed per-thread container",
+                    )
+                )
+    return out
+
+
+def scope_engine_and_frontier(rel):
+    return rel.startswith("src/engine/") or rel.startswith("src/frontier/")
+
+
 ENGINE_CTOR_RE = re.compile(
     r"\bengine::Engine\s+\w+\s*\(([^;]*)\)|\bEngine\s+\w+\s*\(([^;]*)\)"
 )
@@ -461,6 +509,13 @@ RULES = [
         rule_kernel_bare_next_set,
         False,
         "no bare next.set( in src/engine/traverse_* (use with_bit_setter)",
+    ),
+    Rule(
+        "thread-state-unpadded",
+        scope_engine_and_frontier,
+        rule_thread_state_unpadded,
+        False,
+        "per-thread state in src/engine/, src/frontier/ uses padded ThreadSlot",
     ),
     Rule(
         "service-engine-unleased",
@@ -715,6 +770,44 @@ SELF_TESTS = [
         "src/frontier/frontier.cpp",
         "void f() {\n  next.set(v);\n}\n",
         "kernel-bare-next-set",
+        False,
+    ),
+    (
+        "thread-state-unpadded fires on per-thread vectors by thread id",
+        "src/engine/vertex_map.hpp",
+        "Frontier m(int nt) {\n"
+        "  std::vector<std::vector<vid_t>> buffers(nt);\n"
+        "#pragma omp parallel\n"
+        "  {\n"
+        "    auto& buf = buffers[static_cast<std::size_t>(omp_get_thread_num())];\n"
+        "  }\n}\n",
+        "thread-state-unpadded",
+        True,
+    ),
+    (
+        "thread-state-unpadded fires on a packed per-thread counter",
+        "src/frontier/frontier.cpp",
+        "void f(std::vector<eid_t>& counts) {\n"
+        "  counts[omp_get_thread_num()] += 1;\n}\n",
+        "thread-state-unpadded",
+        True,
+    ),
+    (
+        "thread-state-unpadded quiet on padded slots and a justified pool",
+        "src/engine/workspace_seeded.hpp",
+        "void k(std::vector<ThreadSlot>& slots) {\n"
+        "  ThreadSlot& slot = slots[omp_get_thread_num()];\n}\n"
+        "// grind-lint: allow(thread-state-unpadded) a pool of retired lists,\n"
+        "// touched only by the thread driving the traversal.\n"
+        "std::vector<std::vector<vid_t>> lists_;\n",
+        "thread-state-unpadded",
+        False,
+    ),
+    (
+        "thread-state-unpadded out of scope outside engine/frontier",
+        "src/partition/seeded.cpp",
+        "std::vector<std::vector<vid_t>> members(parts);\n",
+        "thread-state-unpadded",
         False,
     ),
     (
