@@ -2,13 +2,9 @@
 // density thresholds.  The paper fixes 5% (sparse/medium) and 50%
 // (medium/dense) "experimentally"; this bench sweeps both around the chosen
 // values on the frontier-driven workloads, demonstrating that the defaults
-// sit in a robust plateau.  Two companion sweeps cover the PR-7 knobs: the
-// PCPM cut (Options::pcpm_fraction — where the partition-centric kernel
-// takes over from the dense COO on scatter/gather-capable workloads) and
-// the software-prefetch toggle in the CSR/CSC hot loops.  Machine-readable
-// rows (one JSON object per line) carry per-kind sweep counts from the
-// engine's TraversalStats so runtime is attributed to the kernel that
-// actually ran.
+// sit in a robust plateau.  A companion sweep toggles software prefetch in
+// the CSR/CSC hot loops; its machine-readable rows (one JSON object per
+// line) carry the per-algorithm seconds.
 #include <cstdio>
 #include <iostream>
 
@@ -60,54 +56,6 @@ int main() {
     std::cout << t << '\n';
   }
   {
-    // PCPM cut sweep: under kAuto, dense edge-oriented sweeps of
-    // scatter/gather-capable operators move to the binned kernel once the
-    // frontier weight exceeds pcpm_fraction·|E|.  0.10 claims the medium
-    // band from the backward CSC; 1.10 disables the mode entirely (the
-    // dense-COO baseline).  Per-kind sweep counts attribute each
-    // configuration's runtime to the kernel that actually executed.
-    graph::BuildOptions pb;
-    pb.build_pcpm_bins = true;
-    const auto gp = graph::Graph::build(graph::EdgeList(el), pb);
-    Table t("Ablation: PCPM cut sweep (sparse 5%, dense 50%) — Twitter-like, "
-            "scatter/gather workloads");
-    t.header({"pcpm frac", "PR [s]", "PRDelta [s]", "SPMV [s]", "BP [s]"});
-    for (double pf : {0.10, 0.25, 0.50, 0.75, 1.10}) {
-      engine::Options opts;
-      opts.pcpm_fraction = pf;
-      std::vector<std::string> row = {Table::pct(pf, 0)};
-      for (const char* code : {"PR", "PRDelta", "SPMV", "BP"}) {
-        engine::Engine eng(gp, opts);
-        const double secs = bench::time_algorithm(code, eng, source, rounds);
-        row.push_back(Table::num(secs, 4));
-        const auto& st = eng.stats();
-        std::printf(
-            "{\"bench\":\"ablation_pcpm_cut\",\"pcpm_fraction\":%.2f,"
-            "\"algo\":\"%s\",\"seconds\":%.4f,\"sweeps\":{\"sparse\":%llu,"
-            "\"csc\":%llu,\"coo\":%llu,\"pcsr\":%llu,\"pcpm\":%llu},"
-            "\"pcpm_seconds\":%.4f,\"coo_seconds\":%.4f,"
-            "\"bin_bytes\":%llu}\n",
-            pf, code, secs,
-            static_cast<unsigned long long>(
-                st.calls_for(engine::TraversalKind::kSparseCsr)),
-            static_cast<unsigned long long>(
-                st.calls_for(engine::TraversalKind::kBackwardCsc)),
-            static_cast<unsigned long long>(
-                st.calls_for(engine::TraversalKind::kDenseCoo)),
-            static_cast<unsigned long long>(
-                st.calls_for(engine::TraversalKind::kPartitionedCsr)),
-            static_cast<unsigned long long>(
-                st.calls_for(engine::TraversalKind::kPcpm)),
-            st.seconds_for(engine::TraversalKind::kPcpm),
-            st.seconds_for(engine::TraversalKind::kDenseCoo),
-            static_cast<unsigned long long>(st.pcpm_bin_bytes));
-      }
-      t.row(row);
-    }
-    std::fflush(stdout);
-    std::cout << t << '\n';
-  }
-  {
     // Prefetch toggle: the CSR sparse-forward and CSC backward kernels
     // prefetch upcoming neighbor/offset entries (traverse_csr.hpp,
     // traverse_csc.hpp); BFS and BF spend most sweeps there.
@@ -133,8 +81,7 @@ int main() {
   }
   std::cout << "Expected: a shallow optimum around the paper's 5%/50% "
                "defaults; extreme settings degrade by forcing the wrong "
-               "kernel onto mismatched frontier densities.  PCPM sweep "
-               "counts shift from coo to pcpm as the cut drops; prefetch "
+               "kernel onto mismatched frontier densities; prefetch "
                "helps most on the sparse/backward kernels' pointer-chasing "
                "loops.\n";
   return 0;

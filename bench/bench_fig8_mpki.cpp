@@ -12,27 +12,19 @@
 //     working set fits — MPKI falls.
 //   * BFS's backward CSC traversal is order-identical regardless of the
 //     partitioning (§II-C) — its MPKI line is flat.
-//   * PCPM (partition-centric scatter-gather, traverse_pcpm.hpp) replaces
-//     the COO kernel's random destination writes with sequential bin
-//     stores; its random accesses are confined to one partition per worker,
-//     so its MPKI sits below the COO curve and flattens out early.
 //
 // Besides the tables, every measurement is emitted as one JSON object per
-// line (machine-readable; the CI smoke job parses the "fig8_pr_runtime"
-// rows to gate PCPM PR iteration time against the dense-COO baseline on the
-// power-law fixture).
+// line (machine-readable; the CI smoke job parses the "fig8_mpki" rows to
+// gate both shapes: PR MPKI falls with the partition count, BFS's stays
+// flat).
 #include <cstdio>
 #include <iostream>
 
-#include "algorithms/pagerank.hpp"
 #include "analysis/access_trace.hpp"
 #include "analysis/cache_sim.hpp"
-#include "engine/engine.hpp"
 #include "graph/csr.hpp"
-#include "graph/graph.hpp"
 #include "partition/partitioned_coo.hpp"
 #include "partition/partitioner.hpp"
-#include "partition/pcpm_bins.hpp"
 #include "suite.hpp"
 #include "sys/env.hpp"
 #include "sys/table.hpp"
@@ -71,7 +63,7 @@ void report(const std::string& graph_name) {
           " concurrent workers per LLC — " + graph_name + "-like (" +
           Table::num(cfg.size_bytes / (1024.0 * 1024.0), 1) +
           " MiB simulated LLC)");
-  t.header({"Partitions", "PR (COO)", "BF (COO)", "BFS (CSC)", "PR (PCPM)"});
+  t.header({"Partitions", "PR (COO)", "BF (COO)", "BFS (CSC)"});
 
   // BFS is partition-independent; trace it once.
   analysis::CacheSim bfs_sim(cfg);
@@ -100,65 +92,16 @@ void report(const std::string& graph_name) {
     // curve sits slightly below PR's.
     const double bf_mpki = pr_sim.mpki(pr_instr + 2 * coo.num_edges());
 
-    // PCPM over the same partitioning: sequential bin stores instead of
-    // random destination writes.
-    const auto bins = partition::PcpmBins::build(el, parts);
-    analysis::CacheSim pcpm_sim(cfg);
-    const auto pcpm_instr = analysis::trace_pcpm_concurrent(
-        bins, map, workers(), [&](std::uintptr_t a) { pcpm_sim.access(a); });
-    const double pcpm_mpki = pcpm_sim.mpki(pcpm_instr);
-
     t.row({std::to_string(p), Table::num(pr_sim.mpki(pr_instr), 1),
-           Table::num(bf_mpki, 1), Table::num(bfs_mpki, 1),
-           Table::num(pcpm_mpki, 1)});
+           Table::num(bf_mpki, 1), Table::num(bfs_mpki, 1)});
     std::printf(
         "{\"bench\":\"fig8_mpki\",\"graph\":\"%s\",\"partitions\":%u,"
-        "\"pr_coo_mpki\":%.3f,\"bf_coo_mpki\":%.3f,\"bfs_csc_mpki\":%.3f,"
-        "\"pr_pcpm_mpki\":%.3f,\"pcpm_bin_bytes\":%llu}\n",
+        "\"pr_coo_mpki\":%.3f,\"bf_coo_mpki\":%.3f,\"bfs_csc_mpki\":%.3f}\n",
         graph_name.c_str(), static_cast<unsigned>(p),
-        pr_sim.mpki(pr_instr), bf_mpki, bfs_mpki, pcpm_mpki,
-        static_cast<unsigned long long>(bins.storage_bytes()));
+        pr_sim.mpki(pr_instr), bf_mpki, bfs_mpki);
   }
   std::fflush(stdout);
   std::cout << t << '\n';
-}
-
-/// Measured PR iteration time, dense COO vs PCPM, on one suite graph — the
-/// rows the CI smoke gate compares.  Both engines share the build (bins
-/// included), force their dense kernel for every round
-/// (sparse_fraction = 0), and run on warmed workspaces; per-kind stats
-/// attribute the time to the kernel that actually executed.
-void report_pr_runtime(const std::string& graph_name) {
-  const auto el = bench::make_suite_graph(graph_name, bench::suite_scale());
-  graph::BuildOptions b;
-  b.build_pcpm_bins = true;
-  const graph::Graph g = graph::Graph::build(graph::EdgeList(el), b);
-  const int iters = 5 * bench::suite_rounds();
-
-  for (const bool pcpm : {false, true}) {
-    engine::Options opts;
-    opts.layout = pcpm ? engine::Layout::kPcpm : engine::Layout::kDenseCoo;
-    opts.atomics = engine::AtomicsMode::kForceOff;
-    opts.sparse_fraction = 0.0;
-    engine::Engine eng(g, opts);
-    algorithms::pagerank(eng, {.iterations = 2});  // warm pools + placement
-    eng.reset_stats();
-    algorithms::pagerank(eng, {.iterations = iters});
-    const auto& st = eng.stats();
-    const auto kind = pcpm ? engine::TraversalKind::kPcpm
-                           : engine::TraversalKind::kDenseCoo;
-    const std::uint64_t sweeps = st.calls_for(kind);
-    const double iter_ms =
-        sweeps > 0 ? st.seconds_for(kind) / static_cast<double>(sweeps) * 1e3
-                   : 0.0;
-    std::printf(
-        "{\"bench\":\"fig8_pr_runtime\",\"graph\":\"%s\",\"mode\":\"%s\","
-        "\"sweeps\":%llu,\"iter_ms\":%.4f,\"bin_bytes\":%llu}\n",
-        graph_name.c_str(), pcpm ? "pcpm" : "coo",
-        static_cast<unsigned long long>(sweeps), iter_ms,
-        static_cast<unsigned long long>(st.pcpm_bin_bytes));
-  }
-  std::fflush(stdout);
 }
 
 }  // namespace
@@ -166,10 +109,8 @@ void report_pr_runtime(const std::string& graph_name) {
 int main() {
   report("Twitter");
   report("Friendster");
-  report_pr_runtime("Twitter");  // the power-law fixture the CI gate reads
   std::cout << "Expected (paper): PR/BF MPKI falls steeply (roughly halves) "
                "from 4 to 384 partitions; BFS MPKI is flat (CSC order is "
-               "partition-independent, SectionII-C); PCPM sits below the COO "
-               "curve (random writes confined to one partition per worker).\n";
+               "partition-independent, SectionII-C).\n";
   return 0;
 }

@@ -82,7 +82,6 @@ const graph::Graph& micro_graph() {
     graph::BuildOptions b;
     b.num_partitions = 256;
     b.build_partitioned_csr = true;
-    b.build_pcpm_bins = true;
     return graph::Graph::build(graph::rmat(16, 16, 7), b);
   }();
   return g;
@@ -91,20 +90,12 @@ const graph::Graph& micro_graph() {
 struct AccumOp {
   double* acc;
   const double* x;
-  using scatter_value_t = double;
   bool update(vid_t s, vid_t d, weight_t w) {
     acc[d] += static_cast<double>(w) * x[s];
     return false;
   }
   bool update_atomic(vid_t s, vid_t d, weight_t w) {
     atomic_add(acc[d], static_cast<double>(w) * x[s]);
-    return false;
-  }
-  [[nodiscard]] double scatter(vid_t s, weight_t w) const {
-    return static_cast<double>(w) * x[s];
-  }
-  bool gather(vid_t d, double v) {
-    acc[d] += v;
     return false;
   }
   [[nodiscard]] bool cond(vid_t) const { return true; }
@@ -213,17 +204,6 @@ void BM_EdgeMap_PartitionedCsr_Reused(benchmark::State& state) {
                     engine::AtomicsMode::kForceOn);
 }
 BENCHMARK(BM_EdgeMap_PartitionedCsr_Reused);
-
-void BM_EdgeMap_Pcpm(benchmark::State& state) {
-  run_layout(state, engine::Layout::kPcpm, engine::AtomicsMode::kForceOff);
-}
-BENCHMARK(BM_EdgeMap_Pcpm);
-
-void BM_EdgeMap_Pcpm_Reused(benchmark::State& state) {
-  run_layout_reused(state, engine::Layout::kPcpm,
-                    engine::AtomicsMode::kForceOff);
-}
-BENCHMARK(BM_EdgeMap_Pcpm_Reused);
 
 void BM_SparsePush(benchmark::State& state) {
   const auto& g = micro_graph();
@@ -437,13 +417,6 @@ void run_steady_state_audit() {
   double pr_steady_ms = 0.0;
   audit_pagerank(pr_eng, /*iters=*/10, pr_allocs, pr_steady_ms);
 
-  engine::Options pcpm_opts = opts;
-  pcpm_opts.layout = engine::Layout::kPcpm;
-  engine::Engine pcpm_eng(g, pcpm_opts);
-  std::vector<std::uint64_t> pcpm_allocs;
-  double pcpm_steady_ms = 0.0;
-  audit_pagerank(pcpm_eng, /*iters=*/10, pcpm_allocs, pcpm_steady_ms);
-
   engine::Engine bfs_eng(g);  // kAuto: exercises all three regimes
   bfs_eng.set_orientation(engine::Orientation::kVertex);
   std::vector<std::uint64_t> bfs_allocs;
@@ -456,9 +429,6 @@ void run_steady_state_audit() {
 
   std::uint64_t pr_steady = 0;
   for (std::size_t i = 1; i < pr_allocs.size(); ++i) pr_steady += pr_allocs[i];
-  std::uint64_t pcpm_steady = 0;
-  for (std::size_t i = 1; i < pcpm_allocs.size(); ++i)
-    pcpm_steady += pcpm_allocs[i];
   std::uint64_t bfs_steady = 0;
   for (std::size_t i = 1; i < bfs_allocs.size(); ++i)
     bfs_steady += bfs_allocs[i];
@@ -474,13 +444,6 @@ void run_steady_state_audit() {
   print_u64_array(pr_allocs);
   std::printf(",\"steady_state_allocs\":%llu,\"steady_iter_ms\":%.3f},",
               static_cast<unsigned long long>(pr_steady), pr_steady_ms);
-  std::printf("\"pagerank_pcpm\":{\"per_iter_allocs\":");
-  print_u64_array(pcpm_allocs);
-  std::printf(",\"steady_state_allocs\":%llu,\"steady_iter_ms\":%.3f,"
-              "\"bin_bytes\":%llu},",
-              static_cast<unsigned long long>(pcpm_steady), pcpm_steady_ms,
-              static_cast<unsigned long long>(
-                  pcpm_eng.stats().pcpm_bin_bytes));
   std::printf("\"bfs_auto\":{\"per_round_allocs\":");
   print_u64_array(bfs_allocs);
   std::printf(",\"steady_state_allocs\":%llu,\"total_ms\":%.3f},",

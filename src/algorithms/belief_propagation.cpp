@@ -34,7 +34,6 @@ AlgorithmDesc make_bp_desc() {
   d.title = "loopy belief propagation on a pairwise binary MRF";
   d.table_order = 7;
   d.caps.needs_weights = true;
-  d.caps.scatter_gather = true;  // detail::BpOp decomposes scatter/gather
   d.schema = {
       spec_int("iterations", "message-passing iterations", 10, 0, 1e6),
       spec_real("q_base", "pairwise potential base coupling", 0.1, 0.0, 0.49),

@@ -76,26 +76,6 @@ struct BpOp : engine::CondTrue {
     atomic_add(acc1[d], std::log(m1));
     return false;
   }
-
-  // Scatter-gather decomposition (engine/traverse_pcpm.hpp): BP's message
-  // is a *pair* of log-potentials, so its scatter value is a two-field
-  // struct — the per-operator value type is why the PCPM bins store raw
-  // bytes sized by the operator rather than a fixed payload.
-  struct LogMessage {
-    double log_m0;
-    double log_m1;
-  };
-  using scatter_value_t = LogMessage;
-  [[nodiscard]] LogMessage scatter(vid_t s, weight_t w) const {
-    double m0 = 0.0, m1 = 0.0;
-    message(s, w, m0, m1);
-    return {std::log(m0), std::log(m1)};
-  }
-  bool gather(vid_t d, LogMessage v) {
-    acc0[d] += v.log_m0;
-    acc1[d] += v.log_m1;
-    return false;
-  }
 };
 
 /// Deterministic prior in (0.1, 0.9) from a hash of the vertex id.

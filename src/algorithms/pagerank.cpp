@@ -29,7 +29,6 @@ AlgorithmDesc make_pr_desc() {
   d.name = "PR";
   d.title = "PageRank by the power method, fixed iteration count";
   d.table_order = 2;
-  d.caps.scatter_gather = true;  // detail::PrOp decomposes scatter/gather
   d.schema = {
       spec_int("iterations", "power-method iterations", 10, 0, 1e6),
       spec_real("damping", "damping factor", 0.85, 0.0, 1.0),

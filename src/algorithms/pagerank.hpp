@@ -49,16 +49,6 @@ struct PrOp : engine::CondTrue {
     atomic_add(acc[d], contrib[s]);
     return false;
   }
-
-  // Scatter-gather decomposition (engine/traverse_pcpm.hpp): the
-  // contribution is pure source state, the accumulate is pure destination
-  // state, so update(s,d,w) ≡ gather(d, scatter(s,w)) exactly.
-  using scatter_value_t = double;
-  [[nodiscard]] double scatter(vid_t s, weight_t) const { return contrib[s]; }
-  bool gather(vid_t d, double v) {
-    acc[d] += v;
-    return false;
-  }
 };
 
 }  // namespace detail

@@ -32,7 +32,6 @@ AlgorithmDesc make_prdelta_desc() {
   d.name = "PRDelta";
   d.title = "delta-stepping PageRank (Ligra's PageRankDelta)";
   d.table_order = 4;
-  d.caps.scatter_gather = true;  // detail::PrDeltaOp decomposes scatter/gather
   d.schema = {
       spec_real("damping", "damping factor", 0.85, 0.0, 1.0),
       spec_real("epsilon", "significance threshold relative to 1/|V|", 0.05,

@@ -74,21 +74,6 @@ struct PrDeltaOp : engine::CondTrue {
     atomic_add(acc[d], contrib[s]);
     return atomic_claim(claimed[d]);
   }
-
-  // Scatter-gather decomposition (engine/traverse_pcpm.hpp).  The claim
-  // flag is destination state, so it moves to the gather side; the PCPM
-  // gather is single-writer per destination, so the non-atomic claim is
-  // race-free there just as in the no-atomics COO sweep.
-  using scatter_value_t = double;
-  [[nodiscard]] double scatter(vid_t s, weight_t) const { return contrib[s]; }
-  bool gather(vid_t d, double v) {
-    acc[d] += v;
-    if (claimed[d] == 0) {
-      claimed[d] = 1;
-      return true;
-    }
-    return false;
-  }
 };
 
 }  // namespace detail

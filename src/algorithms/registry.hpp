@@ -122,12 +122,6 @@ struct AlgorithmCaps {
   /// Table-II orientation class (§III-D): vertex-oriented workloads declare
   /// Orientation::kVertex to the engine.
   bool vertex_oriented = false;
-  /// The algorithm's edge operator models engine::ScatterGatherOperator, so
-  /// dense sweeps can take the partition-centric (PCPM) message-bin path on
-  /// graphs built with BuildOptions::build_pcpm_bins (docs/ENGINE.md,
-  /// "Partition-centric mode").  Benches and the fuzzer use this to select
-  /// the workloads worth sweeping under Layout::kPcpm.
-  bool scatter_gather = false;
 };
 
 /// Context handed to a descriptor's differential check hook.

@@ -24,7 +24,6 @@ AlgorithmDesc make_spmv_desc() {
   d.table_order = 5;
   d.caps.needs_weights = true;
   d.caps.takes_vector_input = true;
-  d.caps.scatter_gather = true;  // detail::SpmvOp decomposes scatter/gather
   d.schema = {spec_vec("x", "input vector indexed by original vertex ID; "
                             "empty or absent = all-ones")};
   d.summarize = [](const AnyResult& r) {

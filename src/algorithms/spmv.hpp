@@ -36,18 +36,6 @@ struct SpmvOp : engine::CondTrue {
     atomic_add(y[d], static_cast<double>(w) * x[s]);
     return false;
   }
-
-  // Scatter-gather decomposition (engine/traverse_pcpm.hpp): the product
-  // is computed on the scatter side with the same expression (and thus the
-  // same rounding) as update, the sum on the gather side.
-  using scatter_value_t = double;
-  [[nodiscard]] double scatter(vid_t s, weight_t w) const {
-    return static_cast<double>(w) * x[s];
-  }
-  bool gather(vid_t d, double v) {
-    y[d] += v;
-    return false;
-  }
 };
 
 }  // namespace detail

@@ -16,7 +16,6 @@
 
 #include "graph/csr.hpp"
 #include "partition/partitioned_coo.hpp"
-#include "partition/pcpm_bins.hpp"
 #include "sys/types.hpp"
 
 namespace grind::analysis {
@@ -27,8 +26,6 @@ struct AddressMap {
   std::uintptr_t src_value_base = 0x2'0000'0000ULL; ///< value_bytes per vertex
   std::uintptr_t dst_value_base = 0x3'0000'0000ULL;
   std::uintptr_t edge_array_base = 0x4'0000'0000ULL;
-  /// PCPM message-value buffer: one slot per edge (traverse_pcpm.hpp).
-  std::uintptr_t msg_value_base = 0x5'0000'0000ULL;
   std::size_t value_bytes = 8;  ///< per-vertex payload (a double)
 
   [[nodiscard]] std::uintptr_t frontier_addr(vid_t v) const {
@@ -42,9 +39,6 @@ struct AddressMap {
   }
   [[nodiscard]] std::uintptr_t edge_addr(eid_t e) const {
     return edge_array_base + static_cast<std::uintptr_t>(e) * sizeof(Edge);
-  }
-  [[nodiscard]] std::uintptr_t msg_addr(eid_t slot) const {
-    return msg_value_base + static_cast<std::uintptr_t>(slot) * value_bytes;
   }
 };
 
@@ -157,107 +151,6 @@ std::uint64_t trace_csc_backward_concurrent(const graph::Csr& csc,
   }
   return csc.num_edges() * kInstructionsPerEdge +
          static_cast<std::uint64_t>(n) * kInstructionsPerVertex;
-}
-
-/// Concurrent-worker trace of one PCPM iteration (traverse_pcpm.hpp): a
-/// scatter sweep followed by a gather sweep, each interleaved slot-by-slot
-/// across `streams` workers.
-///
-/// Scatter — worker k owns source partitions k, k+streams, …; per slot: bin
-/// sidecar read, source frontier-bit read, source value read, and a
-/// *sequential* message write into the consumer partition's bin (this is
-/// the store that replaces the COO kernel's random destination write).
-/// Gather — worker k owns destination partitions with the same stride; per
-/// slot: sidecar read, sequential message read, destination value write —
-/// random only within the owning partition's vertex range.
-template <typename Sink>
-std::uint64_t trace_pcpm_concurrent(const partition::PcpmBins& bins,
-                                    const AddressMap& map, int streams,
-                                    Sink&& sink) {
-  const part_t np = bins.num_partitions();
-  if (streams < 1) streams = 1;
-
-  // Scatter: cursor (sp, dp, i) walks sp's slice of every partition's bins.
-  struct ScatterCursor {
-    part_t sp;
-    part_t dp = 0;
-    eid_t i = 0;
-    bool primed = false;
-  };
-  std::vector<ScatterCursor> sc(static_cast<std::size_t>(streams));
-  for (int k = 0; k < streams; ++k)
-    sc[static_cast<std::size_t>(k)].sp = static_cast<part_t>(k);
-
-  const auto advance = [&](ScatterCursor& c) {
-    // Move to the next non-empty (sp → dp) bin slot, striding sp by
-    // `streams` when this source partition's slices are exhausted.
-    while (c.sp < np) {
-      if (c.dp == np) {
-        c.sp += static_cast<part_t>(streams);
-        c.dp = 0;
-        c.primed = false;
-        continue;
-      }
-      const auto& part = bins.part(c.dp);
-      if (!c.primed) {
-        c.i = part.offsets[c.sp];
-        c.primed = true;
-      }
-      if (c.i >= part.offsets[c.sp + 1]) {
-        ++c.dp;
-        c.primed = false;
-        continue;
-      }
-      return true;
-    }
-    return false;
-  };
-
-  bool any = true;
-  while (any) {
-    any = false;
-    for (int k = 0; k < streams; ++k) {
-      ScatterCursor& c = sc[static_cast<std::size_t>(k)];
-      if (!advance(c)) continue;
-      any = true;
-      const auto& part = bins.part(c.dp);
-      sink(map.edge_addr(part.slot_base + c.i));  // sidecar (src, weight)
-      sink(map.frontier_addr(part.src[c.i]));
-      sink(map.src_value_addr(part.src[c.i]));
-      sink(map.msg_addr(part.slot_base + c.i));  // sequential bin store
-      ++c.i;
-    }
-  }
-
-  // Gather: cursor (dp, i) reduces dp's slots in order.
-  struct GatherCursor {
-    part_t dp;
-    eid_t i = 0;
-  };
-  std::vector<GatherCursor> gc(static_cast<std::size_t>(streams));
-  for (int k = 0; k < streams; ++k)
-    gc[static_cast<std::size_t>(k)].dp = static_cast<part_t>(k);
-
-  any = true;
-  while (any) {
-    any = false;
-    for (int k = 0; k < streams; ++k) {
-      GatherCursor& c = gc[static_cast<std::size_t>(k)];
-      while (c.dp < np && c.i >= bins.part(c.dp).num_slots()) {
-        c.dp += static_cast<part_t>(streams);
-        c.i = 0;
-      }
-      if (c.dp >= np) continue;
-      any = true;
-      const auto& part = bins.part(c.dp);
-      sink(map.edge_addr(part.slot_base + c.i));  // sidecar (dst)
-      sink(map.msg_addr(part.slot_base + c.i));   // sequential bin load
-      sink(map.dst_value_addr(part.dst[c.i]));    // partition-local write
-      ++c.i;
-    }
-  }
-
-  return 2 * bins.num_slots() * kInstructionsPerEdge;
 }
 
 /// Trace only the *destination-value updates* of a COO iteration — the

@@ -6,8 +6,8 @@
 // swapping the roles of the two whole-graph indexes: the *push* index holds
 // each vertex's outgoing edges in the traversal direction (CSR forward, CSC
 // transposed) and the *gather* index its incoming ones (CSC forward, CSR
-// transposed).  The partition-parallel layouts (COO, pruned CSR, PCPM bins)
-// are partitioned by original destination, so they align update sets with
+// transposed).  The partition-parallel layouts (COO, pruned CSR) are
+// partitioned by original destination, so they align update sets with
 // forward flow only; transposed traversals take the sparse push or the
 // single-writer gather.
 #pragma once

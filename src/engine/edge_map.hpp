@@ -25,7 +25,6 @@
 #include "engine/traverse_coo.hpp"
 #include "engine/traverse_csc.hpp"
 #include "engine/traverse_csr.hpp"
-#include "engine/traverse_pcpm.hpp"
 #include "engine/traverse_pcsr.hpp"
 #include "engine/workspace.hpp"
 #include "frontier/frontier.hpp"
@@ -52,15 +51,6 @@ inline void poll_cancel(const sys::CancelToken* token) {
 /// Pick the traversal kind for frontier weight `w` on a graph of `m` edges.
 /// Exposed separately so tests can probe the decision thresholds directly.
 ///
-/// `pcpm_capable` is whether the partition-centric scatter-gather kernel is
-/// admissible for this call — the operator models ScatterGatherOperator
-/// *and* the graph carries message bins (edge_map computes it; it defaults
-/// to false so threshold probes ask about the classic three-way decision).
-/// When capable, non-sparse frontiers above the Options::pcpm_fraction cut
-/// of edge-oriented algorithms take the binned path; a forced
-/// Layout::kPcpm without capability degrades to the dense COO, so sweeps
-/// may force the layout uniformly across operators.
-///
 /// `filters` is whether the operator's cond can reject a destination
 /// (edge_map passes false for a FilterlessOperator; it defaults to true, the
 /// classic decision).  Under Layout::kAuto a medium frontier of a
@@ -68,7 +58,6 @@ inline void poll_cancel(const sys::CancelToken* token) {
 /// medium band by exiting early once a destination's cond turns false, so
 /// without a filter it reads all |E| in-edges where the push reads w.
 inline TraversalKind decide_traversal(eid_t w, eid_t m, const Options& opts,
-                                      bool pcpm_capable = false,
                                       bool filters = true) {
   if (opts.layout == Layout::kSparseCsr) return TraversalKind::kSparseCsr;
   const auto sparse_cut =
@@ -82,18 +71,10 @@ inline TraversalKind decide_traversal(eid_t w, eid_t m, const Options& opts,
       return TraversalKind::kDenseCoo;
     case Layout::kPartitionedCsr:
       return TraversalKind::kPartitionedCsr;
-    case Layout::kPcpm:
-      return pcpm_capable ? TraversalKind::kPcpm : TraversalKind::kDenseCoo;
     case Layout::kAuto:
     case Layout::kSparseCsr:
       break;
   }
-  // PCPM cut (checked before the medium/dense split so ablations can push
-  // the binned mode down into the medium band): two sequential sweeps only
-  // beat one random-write sweep when enough of the graph is active.
-  if (pcpm_capable && opts.orientation == Orientation::kEdge &&
-      static_cast<double>(w) > static_cast<double>(m) * opts.pcpm_fraction)
-    return TraversalKind::kPcpm;
   if (static_cast<double>(w) <= dense_cut)
     return filters ? TraversalKind::kBackwardCsc : TraversalKind::kSparseCsr;
   // Dense frontier: COO for edge-oriented algorithms; vertex-oriented ones
@@ -132,8 +113,8 @@ inline bool decide_atomics(const graph::Graph& g, const Options& opts) {
 /// Direction::kTranspose runs the same decision with the frontier weighed
 /// against in-degrees.  Its non-sparse frontiers always take the backward
 /// gather: the partitioned layouts are partitioned by original destination,
-/// which is the *reader* side under reversed flow, so a forced kDenseCoo,
-/// kPartitionedCsr or kPcpm degrades to the single-writer gather.
+/// which is the *reader* side under reversed flow, so a forced kDenseCoo or
+/// kPartitionedCsr degrades to the single-writer gather.
 template <Direction D = Direction::kForward, EdgeOperator Op>
 Frontier edge_map(const graph::Graph& g, Frontier& f, Op op,
                   TraversalWorkspace& ws, const Options& opts = {},
@@ -142,13 +123,10 @@ Frontier edge_map(const graph::Graph& g, Frontier& f, Op op,
   poll_cancel(token);
   if (f.empty()) return Frontier::empty(g.num_vertices());
 
-  constexpr bool kForward = D == Direction::kForward;
-  const bool pcpm_capable =
-      kForward && ScatterGatherOperator<Op> && g.has_pcpm_bins();
-  TraversalKind kind =
-      decide_traversal(direction_weight<D>(g, f), g.num_edges(), opts,
-                       pcpm_capable, !FilterlessOperator<Op>);
-  if (!kForward && kind != TraversalKind::kSparseCsr)
+  TraversalKind kind = decide_traversal(direction_weight<D>(g, f),
+                                        g.num_edges(), opts,
+                                        !FilterlessOperator<Op>);
+  if (D == Direction::kTranspose && kind != TraversalKind::kSparseCsr)
     kind = TraversalKind::kBackwardCsc;
   const bool atomics = decide_atomics(g, opts);
 
@@ -156,7 +134,6 @@ Frontier edge_map(const graph::Graph& g, Frontier& f, Op op,
   eid_t edges = 0;
   Frontier out;
   bool used_atomics = false;
-  std::uint64_t bin_bytes = 0;  // PCPM message traffic of this call
   AffineCounts affinity;  // home/stolen split of the partition schedulers
   switch (kind) {
     case TraversalKind::kSparseCsr:
@@ -182,16 +159,6 @@ Frontier edge_map(const graph::Graph& g, Frontier& f, Op op,
                                      token);
       used_atomics = atomics;
       break;
-    case TraversalKind::kPcpm:
-      // Guarded if-constexpr: decide_traversal only returns kPcpm when the
-      // operator models the concept, but the non-SG instantiations of this
-      // function still need the call to type-check away.
-      if constexpr (ScatterGatherOperator<Op>) {
-        out = traverse_pcpm(g, f, op, &edges, ws, &affinity, token,
-                            &bin_bytes);
-        used_atomics = false;  // destination partitions are single-writer
-      }
-      break;
   }
 
   // The partition kernels early-out (skipping whole partitions) when the
@@ -205,7 +172,6 @@ Frontier edge_map(const graph::Graph& g, Frontier& f, Op op,
   if (stats != nullptr) {
     stats->record(kind, timer.seconds(), edges, used_atomics);
     stats->record_affinity(affinity);
-    if (bin_bytes != 0) stats->record_pcpm_bytes(bin_bytes);
   }
   return out;
 }

@@ -14,8 +14,6 @@ std::string to_string(TraversalKind k) {
       return "dense-coo";
     case TraversalKind::kPartitionedCsr:
       return "partitioned-csr";
-    case TraversalKind::kPcpm:
-      return "pcpm";
   }
   return "unknown";
 }
@@ -32,8 +30,6 @@ std::string to_string(Layout l) {
       return "dense-coo";
     case Layout::kPartitionedCsr:
       return "partitioned-csr";
-    case Layout::kPcpm:
-      return "pcpm";
   }
   return "unknown";
 }
@@ -48,8 +44,7 @@ std::string Engine::stats_report() const {
   os << "edge_map traversals: " << stats_.total_calls() << '\n';
   static constexpr TraversalKind kKinds[] = {
       TraversalKind::kSparseCsr, TraversalKind::kBackwardCsc,
-      TraversalKind::kDenseCoo, TraversalKind::kPartitionedCsr,
-      TraversalKind::kPcpm};
+      TraversalKind::kDenseCoo, TraversalKind::kPartitionedCsr};
   // Per-kind sweep counts, not just the aggregate: a forced layout only
   // governs non-sparse iterations (sparse frontiers keep the CSR), so
   // ablations need to see which kernel each sweep actually ran on.
@@ -62,8 +57,6 @@ std::string Engine::stats_report() const {
   }
   os << "  atomic rounds: " << stats_.atomic_rounds
      << ", non-atomic rounds: " << stats_.nonatomic_rounds << '\n';
-  if (stats_.pcpm_bin_bytes != 0)
-    os << "  pcpm bin traffic: " << stats_.pcpm_bin_bytes << " bytes\n";
   const auto& aff = stats_.affinity;
   if (aff.home_items + aff.stolen_items > 0) {
     os << "  domain affinity: " << aff.home_items << " home / "

@@ -37,8 +37,7 @@ class Engine {
   template <Direction D = Direction::kForward, EdgeOperator Op>
   Frontier edge_map(Frontier& f, Op op) {
     Frontier out = engine::edge_map<D>(*graph_, f, std::move(op), workspace(),
-                                       opts_,
-                                       opts_.collect_stats ? &stats_ : nullptr);
+                                       opts_, &stats_);
     ++sweeps_done_;
     return out;
   }

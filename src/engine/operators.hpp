@@ -20,7 +20,7 @@
 #pragma once
 
 #include <concepts>
-#include <type_traits>
+#include <utility>
 
 #include "sys/types.hpp"
 
@@ -32,29 +32,6 @@ concept EdgeOperator = requires(Op op, vid_t s, vid_t d, weight_t w) {
   { op.update_atomic(s, d, w) } -> std::convertible_to<bool>;
   { op.cond(d) } -> std::convertible_to<bool>;
 };
-
-/// Optional refinement for the partition-centric scatter-gather traversal
-/// (traverse_pcpm.hpp): operators whose update decomposes into a pure
-/// per-edge message and a destination-side reduction,
-///
-///   update(s, d, w)  ≡  gather(d, scatter(s, w))
-///
-/// with scatter reading only source state and gather writing only
-/// destination state.  `scatter_value_t` is the message payload (e.g.
-/// `double` for PageRank's contribution, a two-field struct for belief
-/// propagation's log-message pair); it must be trivially copyable — the
-/// engine stores messages in pooled raw buffers.  Operators that model
-/// this concept are routed to the PCPM kernel when the graph carries
-/// message bins; all others keep the dense COO/CSC paths.
-template <typename Op>
-concept ScatterGatherOperator =
-    EdgeOperator<Op> &&
-    requires(Op op, vid_t s, vid_t d, weight_t w,
-             typename Op::scatter_value_t v) {
-      requires std::is_trivially_copyable_v<typename Op::scatter_value_t>;
-      { op.scatter(s, w) } -> std::same_as<typename Op::scatter_value_t>;
-      { op.gather(d, v) } -> std::convertible_to<bool>;
-    };
 
 /// cond() that never filters — for algorithms updating every destination.
 /// Deriving from it (rather than writing `cond() { return true; }`) also

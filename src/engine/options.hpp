@@ -20,7 +20,6 @@ enum class Layout {
   kBackwardCsc,     ///< always backward over whole CSC, partitioned ranges
   kDenseCoo,        ///< always partitioned COO
   kPartitionedCsr,  ///< always partitioned pruned CSR (Fig 5 "CSR" curves)
-  kPcpm,            ///< always partition-centric scatter-gather message bins
 };
 
 /// Atomics policy for the partition-parallel kernels ("+a" / "+na" in the
@@ -58,14 +57,6 @@ struct Options {
   double sparse_fraction = 0.05;  // |E|/20
   double dense_fraction = 0.50;   // |E|/2
 
-  /// PCPM cut: a dense, edge-oriented frontier of weight > pcpm_fraction·|E|
-  /// is routed to the partition-centric scatter-gather kernel, provided the
-  /// operator decomposes into scatter/gather and the graph carries message
-  /// bins (graph/graph.hpp BuildOptions::build_pcpm_bins).  Defaults to the
-  /// dense cut, so every PCPM-eligible dense frontier takes the binned path;
-  /// bench_ablation_density_thresholds sweeps it.
-  double pcpm_fraction = 0.50;
-
   /// Software prefetch in the CSR sparse-forward and CSC backward inner
   /// loops (__builtin_prefetch of upcoming neighbor/offset entries).  A
   /// knob rather than a constant so the ablation bench can measure it.
@@ -82,9 +73,6 @@ struct Options {
   /// (whose per-destination early exit suits claim-style operators) instead
   /// of the COO.
   Orientation orientation = Orientation::kEdge;
-
-  /// Collect per-traversal statistics (cheap; on by default).
-  bool collect_stats = true;
 
   /// Cooperative cancellation token, polled at every edge_map boundary and
   /// once per partition sweep inside the partition-parallel kernels.  When
@@ -120,11 +108,10 @@ enum class TraversalKind : std::uint8_t {
   kBackwardCsc = 1,
   kDenseCoo = 2,
   kPartitionedCsr = 3,
-  kPcpm = 4,
 };
 
 /// Number of TraversalKind values (sizes the per-kind stats arrays).
-inline constexpr std::size_t kNumTraversalKinds = 5;
+inline constexpr std::size_t kNumTraversalKinds = 4;
 
 /// Human-readable kernel name ("sparse-csr", ...).
 std::string to_string(TraversalKind k);
@@ -137,7 +124,6 @@ struct TraversalStats {
   std::uint64_t edges_examined[kNumTraversalKinds] = {};
   std::uint64_t atomic_rounds = 0;     ///< traversals that used atomics
   std::uint64_t nonatomic_rounds = 0;  ///< traversals that elided atomics
-  std::uint64_t pcpm_bin_bytes = 0;    ///< message bytes scattered + gathered
   AffineCounts affinity;               ///< home/stolen split, partition kernels
 
   void record(TraversalKind k, double secs, std::uint64_t edges,
@@ -150,8 +136,6 @@ struct TraversalStats {
   }
 
   void record_affinity(const AffineCounts& c) { affinity.merge(c); }
-
-  void record_pcpm_bytes(std::uint64_t bytes) { pcpm_bin_bytes += bytes; }
 
   /// Per-kind sweep count / time — lets ablation output attribute runtime
   /// to the kernel that actually ran (a forced dense layout still sends

@@ -1,7 +1,7 @@
 // TraversalWorkspace: per-graph reusable scratch arena for the traversal
-// kernels, in the partition-centric tradition (PCPM, GraphChi): the hot loop
-// of an iterative algorithm must not allocate, because malloc/free traffic
-// pollutes exactly the caches the partitioned layouts exist to protect.
+// kernels.  The hot loop of an iterative algorithm must not allocate,
+// because malloc/free traffic pollutes exactly the caches the partitioned
+// layouts exist to protect.
 //
 // The workspace pools every piece of transient state an edge_map call needs:
 //   * next-frontier bitmaps — retired frontier bitmaps ping-pong back in via
@@ -194,29 +194,6 @@ class TraversalWorkspace {
     return sched_cache_;
   }
 
-  /// Raw message-value buffer for the PCPM scatter-gather kernel: `bytes`
-  /// bytes, 8-byte aligned (double-sized elements), contents uninitialized.
-  /// Capacity is retained across traversals, so steady-state iterations of
-  /// one algorithm resize to the same byte count and never allocate.
-  [[nodiscard]] std::byte* pcpm_values(std::size_t bytes) {
-    if (pcpm_values_.size() < bytes) pcpm_values_.resize(bytes);
-    return pcpm_values_.data();
-  }
-
-  /// One-time NUMA placement guard for the values buffer: the kernel
-  /// page-places each destination partition's slice on its consumer domain
-  /// the first time a given (graph bins, buffer storage) pairing is seen.
-  /// The token compares the bin layout's identity and the buffer's data
-  /// pointer, so a reallocation (growth) or a graph switch re-places while
-  /// steady-state iterations skip the syscall path entirely.
-  [[nodiscard]] bool pcpm_values_need_placement(const void* bins) {
-    if (pcpm_placed_bins_ == bins && pcpm_placed_data_ == pcpm_values_.data())
-      return false;
-    pcpm_placed_bins_ = bins;
-    pcpm_placed_data_ = pcpm_values_.data();
-    return true;
-  }
-
   /// Pool introspection (tests / diagnostics).
   [[nodiscard]] std::size_t pooled_bitmaps() const { return bitmaps_.size(); }
   [[nodiscard]] std::size_t pooled_vertex_lists() const {
@@ -232,9 +209,6 @@ class TraversalWorkspace {
     counters_ = {};
     scratch_counts_ = {};
     scratch_offsets_ = {};
-    pcpm_values_ = {};
-    pcpm_placed_bins_ = nullptr;
-    pcpm_placed_data_ = nullptr;
     sched_cache_.clear();
   }
 
@@ -247,9 +221,6 @@ class TraversalWorkspace {
   std::vector<eid_t> counters_;
   std::vector<std::size_t> scratch_counts_;
   std::vector<std::size_t> scratch_offsets_;
-  std::vector<std::byte> pcpm_values_;
-  const void* pcpm_placed_bins_ = nullptr;
-  const void* pcpm_placed_data_ = nullptr;
   DomainScheduleCache sched_cache_;
 };
 

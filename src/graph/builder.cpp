@@ -58,7 +58,7 @@ void GraphBuilder::reset_relabel() {
   }
   assign_identity_ = true;
   order_done_ = assign_done_ = partition_done_ = index_done_ = coo_done_ =
-      pcsr_done_ = pcpm_done_ = false;
+      pcsr_done_ = false;
 }
 
 GraphBuilder& GraphBuilder::with_ordering(VertexOrdering o) {
@@ -78,8 +78,7 @@ GraphBuilder& GraphBuilder::with_partitions(part_t p) {
       // the strategy can re-run against the freshly ordered edge list.
       reset_relabel();
     } else {
-      assign_done_ = partition_done_ = coo_done_ = pcsr_done_ = pcpm_done_ =
-          false;
+      assign_done_ = partition_done_ = coo_done_ = pcsr_done_ = false;
       // The CSR/CSC arrays themselves survive a partition change, but
       // their page placement follows partition boundaries and must be
       // redone.
@@ -105,8 +104,7 @@ GraphBuilder& GraphBuilder::with_partitioner(std::string name,
     if (assign_done_ && !assign_identity_) {
       reset_relabel();
     } else {
-      assign_done_ = partition_done_ = coo_done_ = pcsr_done_ = pcpm_done_ =
-          false;
+      assign_done_ = partition_done_ = coo_done_ = pcsr_done_ = false;
       index_placed_ = false;
     }
   }
@@ -123,11 +121,6 @@ GraphBuilder& GraphBuilder::with_coo_order(partition::EdgeOrder o) {
 
 GraphBuilder& GraphBuilder::with_partitioned_csr(bool on) {
   opts_.build_partitioned_csr = on;
-  return *this;
-}
-
-GraphBuilder& GraphBuilder::with_pcpm_bins(bool on) {
-  opts_.build_pcpm_bins = on;
   return *this;
 }
 
@@ -188,7 +181,7 @@ GraphBuilder& GraphBuilder::assign() {
     remap_ = VertexRemap::from_internal_order(std::move(to_original));
     // el_ was just re-permuted; any layout built over the old numbering
     // is stale even if its done-flag survived a cheap setter path.
-    index_done_ = coo_done_ = pcsr_done_ = pcpm_done_ = false;
+    index_done_ = coo_done_ = pcsr_done_ = false;
   }
   assign_ranges_ = std::move(plan.ranges);
   // Like num_partitions, the options the Graph carries hold the resolved
@@ -261,16 +254,6 @@ GraphBuilder& GraphBuilder::layouts() {
     pcsr_.reset();
     pcsr_done_ = false;
   }
-  if (opts_.build_pcpm_bins) {
-    if (!pcpm_done_) {
-      pcpm_ = std::make_unique<partition::PcpmBins>(
-          partition::PcpmBins::build(el_, part_edges_, &numa_));
-      pcpm_done_ = true;
-    }
-  } else {
-    pcpm_.reset();
-    pcpm_done_ = false;
-  }
   return *this;
 }
 
@@ -295,13 +278,11 @@ Graph GraphBuilder::build() & {
   g.part_vertices_ = part_vertices_;
   g.coo_ = coo_;
   if (pcsr_) g.pcsr_ = std::make_unique<partition::PartitionedCsr>(*pcsr_);
-  if (pcpm_) g.pcpm_ = std::make_unique<partition::PcpmBins>(*pcpm_);
   g.numa_ = numa_;
   // The copies above sit in fresh buffers the builder's page placement did
   // not follow; re-bind them so a graph from the reusable lvalue path is
-  // placed like one from the moving path.  (The pruned CSR and PCPM bins
-  // need no help: their DomainVectors copy through their domain's
-  // allocator.)
+  // placed like one from the moving path.  (The pruned CSR needs no help:
+  // its DomainVectors copy through their domain's allocator.)
   g.coo_.bind_domains(numa_);
   place_csr_domains(g.csr_, g.part_edges_, numa_);
   place_csr_domains(g.csc_, g.part_edges_, numa_);
@@ -320,7 +301,6 @@ Graph GraphBuilder::build() && {
   g.part_vertices_ = std::move(part_vertices_);
   g.coo_ = std::move(coo_);
   g.pcsr_ = std::move(pcsr_);
-  g.pcpm_ = std::move(pcpm_);
   g.numa_ = numa_;
   return g;
 }

@@ -58,7 +58,6 @@ class GraphBuilder {
                                  algorithms::Params params = {});
   GraphBuilder& with_coo_order(partition::EdgeOrder o);
   GraphBuilder& with_partitioned_csr(bool on);
-  GraphBuilder& with_pcpm_bins(bool on);
 
   // ---- stages (idempotent; each runs its prerequisites) ----
   GraphBuilder& order();
@@ -110,7 +109,6 @@ class GraphBuilder {
   Csr csc_;
   partition::PartitionedCoo coo_;
   std::unique_ptr<partition::PartitionedCsr> pcsr_;
-  std::unique_ptr<partition::PcpmBins> pcpm_;
 
   bool order_done_ = false;
   bool assign_done_ = false;
@@ -119,7 +117,6 @@ class GraphBuilder {
   bool index_placed_ = false;  // their page placement, per current partitioning
   bool coo_done_ = false;
   bool pcsr_done_ = false;
-  bool pcpm_done_ = false;
 };
 
 }  // namespace grind::graph

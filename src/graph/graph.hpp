@@ -25,7 +25,6 @@
 #include "graph/reorder.hpp"
 #include "partition/partitioned_coo.hpp"
 #include "partition/partitioned_csr.hpp"
-#include "partition/pcpm_bins.hpp"
 #include "partition/partitioner.hpp"
 #include "partition/registry.hpp"
 #include "sys/numa.hpp"
@@ -62,10 +61,6 @@ struct BuildOptions {
   /// Also build the partitioned pruned CSR (costs r(p)·|V| extra vertex
   /// slots; needed only by the Fig 5/6 experiments).
   bool build_partitioned_csr = false;
-  /// Also build the partition-centric message bins (|E| slot sidecars,
-  /// consumer-domain placed) enabling the PCPM scatter-gather traversal
-  /// (engine/traverse_pcpm.hpp) for scatter/gather-capable operators.
-  bool build_pcpm_bins = false;
 
   /// The paper's default partitioning degree for the COO layout (§IV-E).
   static constexpr part_t kDefaultPartitions = 384;
@@ -117,14 +112,6 @@ class Graph {
     return *pcsr_;
   }
 
-  [[nodiscard]] bool has_pcpm_bins() const { return pcpm_ != nullptr; }
-  [[nodiscard]] const partition::PcpmBins& pcpm_bins() const {
-    if (pcpm_ == nullptr)
-      throw std::logic_error(
-          "PCPM bins not built; set BuildOptions::build_pcpm_bins");
-    return *pcpm_;
-  }
-
   [[nodiscard]] const NumaModel& numa() const { return numa_; }
   /// The retained edge list, in *internal* ID space (ordered by the
   /// build's VertexOrdering; identical to the input under kOriginal).
@@ -164,7 +151,6 @@ class Graph {
   partition::Partitioning part_vertices_;
   partition::PartitionedCoo coo_;
   std::unique_ptr<partition::PartitionedCsr> pcsr_;
-  std::unique_ptr<partition::PcpmBins> pcpm_;
   NumaModel numa_{NumaModel::kDefaultDomains};
 };
 

@@ -33,9 +33,9 @@
 // converts it into a VertexRemap (vertices stably sorted by partition)
 // plus contiguous aligned ranges via plan_assignment().  After that the
 // partitioning is contiguous again, so the traversal kernels, NUMA
-// arenas, PCPM bins and the atomic-free bitmap alignment all work
-// unchanged for every strategy — nothing downstream knows assignments
-// were ever non-contiguous.
+// arenas and the atomic-free bitmap alignment all work unchanged for
+// every strategy — nothing downstream knows assignments were ever
+// non-contiguous.
 #pragma once
 
 #include <functional>

@@ -12,7 +12,7 @@ namespace {
 /// coarse (the budget is an admission guard, not an allocator): CSR + CSC
 /// offsets per vertex, and per edge the retained edge list, the partitioned
 /// COO copy, and one (vid, weight) pair in each of CSR/CSC; the optional
-/// partitioned-CSR and PCPM-bin layouts add roughly an edge-array each.
+/// partitioned CSR adds roughly an edge-array.
 std::size_t approx_graph_bytes(const graph::Graph& g) {
   const auto nv = static_cast<std::size_t>(g.num_vertices());
   const auto ne = static_cast<std::size_t>(g.num_edges());
@@ -20,7 +20,6 @@ std::size_t approx_graph_bytes(const graph::Graph& g) {
                          + sizeof(Edge)                    // partitioned COO
                          + 2 * (sizeof(vid_t) + sizeof(weight_t));  // CSR+CSC
   if (g.has_partitioned_csr()) per_edge += sizeof(vid_t) + sizeof(eid_t);
-  if (g.has_pcpm_bins()) per_edge += sizeof(vid_t) + sizeof(weight_t);
   const std::size_t per_vertex = 2 * sizeof(eid_t)         // CSR+CSC offsets
                                  + 2 * sizeof(vid_t);      // remap both ways
   return nv * per_vertex + ne * per_edge;

@@ -64,20 +64,20 @@ TEST(Decision, FilterlessOperatorsPushTheWholeMediumBand) {
   Options opts;
   constexpr bool kFilterless = false;
   for (eid_t w : {eid_t{0}, eid_t{100}, eid_t{101}, eid_t{550}, eid_t{1000}})
-    EXPECT_EQ(decide_traversal(w, m, opts, false, kFilterless),
+    EXPECT_EQ(decide_traversal(w, m, opts, kFilterless),
               TraversalKind::kSparseCsr)
         << "w=" << w;
   // The dense band is unchanged, for both orientations.
-  EXPECT_EQ(decide_traversal(1001, m, opts, false, kFilterless),
+  EXPECT_EQ(decide_traversal(1001, m, opts, kFilterless),
             TraversalKind::kDenseCoo);
   opts.orientation = Orientation::kVertex;
-  EXPECT_EQ(decide_traversal(1001, m, opts, false, kFilterless),
+  EXPECT_EQ(decide_traversal(1001, m, opts, kFilterless),
             TraversalKind::kBackwardCsc);
-  EXPECT_EQ(decide_traversal(550, m, opts, false, kFilterless),
+  EXPECT_EQ(decide_traversal(550, m, opts, kFilterless),
             TraversalKind::kSparseCsr);
   // The default call and a filtering operator keep the backward gather.
   EXPECT_EQ(decide_traversal(101, m, opts), TraversalKind::kBackwardCsc);
-  EXPECT_EQ(decide_traversal(1000, m, opts, false, true),
+  EXPECT_EQ(decide_traversal(1000, m, opts, true),
             TraversalKind::kBackwardCsc);
   // Forced layouts still force the non-sparse choice.
   for (const auto& [layout, kind] :
@@ -86,7 +86,7 @@ TEST(Decision, FilterlessOperatorsPushTheWholeMediumBand) {
         std::pair{Layout::kPartitionedCsr, TraversalKind::kPartitionedCsr}}) {
     Options forced;
     forced.layout = layout;
-    EXPECT_EQ(decide_traversal(550, m, forced, false, kFilterless), kind)
+    EXPECT_EQ(decide_traversal(550, m, forced, kFilterless), kind)
         << to_string(layout);
   }
 }

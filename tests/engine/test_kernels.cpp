@@ -5,13 +5,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "algorithms/belief_propagation.hpp"
+#include "algorithms/pagerank.hpp"
+#include "algorithms/pagerank_delta.hpp"
+#include "algorithms/spmv.hpp"
 #include "engine/edge_map.hpp"
 #include "engine/engine.hpp"
 #include "graph/generators.hpp"
+#include "graph/reorder.hpp"
 #include "sys/atomics.hpp"
 #include "sys/parallel.hpp"
 
@@ -300,11 +306,8 @@ TEST(Kernels, SparsePushStatisticsEqualRecountInBothDirections) {
 /// frontier bit is stored by whichever task gets there, the pattern that
 /// loses bits when concurrent tasks share a bitmap word non-atomically.
 struct ActivateAllOp {
-  using scatter_value_t = int;
   bool update(vid_t, vid_t, weight_t) { return true; }
   bool update_atomic(vid_t, vid_t, weight_t) { return true; }
-  [[nodiscard]] int scatter(vid_t, weight_t) const { return 0; }
-  bool gather(vid_t, int) { return true; }
   [[nodiscard]] bool cond(vid_t) const { return true; }
 };
 
@@ -321,7 +324,6 @@ TEST(Kernels, PartitionParallelNextFrontierExactAtEveryBoundaryAlign) {
     b.num_partitions = 64;
     b.boundary_align = align;
     b.build_partitioned_csr = true;
-    b.build_pcpm_bins = true;
     const Graph g = Graph::build(graph::EdgeList(el), b);
     const vid_t n = g.num_vertices();
     EXPECT_EQ(g.partitioning_edges().word_aligned(), align == 64)
@@ -330,8 +332,7 @@ TEST(Kernels, PartitionParallelNextFrontierExactAtEveryBoundaryAlign) {
     for (const auto& [layout, kind] :
          {std::pair{Layout::kBackwardCsc, TraversalKind::kBackwardCsc},
           std::pair{Layout::kDenseCoo, TraversalKind::kDenseCoo},
-          std::pair{Layout::kPartitionedCsr, TraversalKind::kPartitionedCsr},
-          std::pair{Layout::kPcpm, TraversalKind::kPcpm}}) {
+          std::pair{Layout::kPartitionedCsr, TraversalKind::kPartitionedCsr}}) {
       Options opts;
       opts.layout = layout;
       opts.atomics = AtomicsMode::kForceOff;  // the single-writer kernels
@@ -350,6 +351,94 @@ TEST(Kernels, PartitionParallelNextFrontierExactAtEveryBoundaryAlign) {
     }
   }
 }
+
+// ---------------------------------------------------------------------------
+// Bit-identity of the non-atomic dense COO sweep across thread counts, per
+// accumulating workload.  Each destination partition is reduced by one
+// thread in its fixed edge order, so the floating-point sums cannot depend
+// on how many threads share the partitions.
+
+struct CooThreadCase {
+  graph::VertexOrdering ordering;
+  part_t partitions;
+  int domains;
+};
+
+class CooThreadIdentity : public ::testing::TestWithParam<CooThreadCase> {};
+
+TEST_P(CooThreadIdentity, MatchesOneThreadBitwiseForAllAccumulatingWorkloads) {
+  const CooThreadCase c = GetParam();
+  BuildOptions b;
+  b.ordering = c.ordering;
+  b.num_partitions = c.partitions;
+  b.boundary_align = 8;
+  b.numa_domains = c.domains;
+  const Graph g = Graph::build(graph::rmat(8, 8, 7), b);
+
+  // sparse_fraction 0 keeps every round on the forced dense COO.
+  Options opts;
+  opts.layout = Layout::kDenseCoo;
+  opts.atomics = AtomicsMode::kForceOff;
+  opts.sparse_fraction = 0.0;
+
+  std::vector<double> x(g.num_vertices());
+  for (vid_t v = 0; v < g.num_vertices(); ++v)
+    x[v] = 0.25 + static_cast<double>(v % 9);
+
+  algorithms::PageRankDeltaOptions prd;
+  prd.epsilon = 1e-7;  // keep rounds active deep into the run
+
+  struct Results {
+    std::vector<double> pr, prd, y, b0;
+  };
+  const auto run = [&](int threads) {
+    ThreadCountGuard guard(threads);
+    TraversalWorkspace ws;
+    Engine eng(g, opts, ws);
+    Results r;
+    r.pr = algorithms::pagerank(eng, {}).rank;
+    r.prd = algorithms::pagerank_delta(eng, prd).rank;
+    r.y = algorithms::spmv(eng, x).y;
+    r.b0 = algorithms::belief_propagation(eng, {}).belief0;
+    EXPECT_GT(eng.stats().calls_for(TraversalKind::kDenseCoo), 0u)
+        << "threads=" << threads;
+    return r;
+  };
+
+  // 4 threads with P ≥ 4 runs the kernel partition-parallel over
+  // boundaries aligned to 8, so partitions share bitmap words — the
+  // multi-writer case a 1-CPU runner would otherwise never exercise.
+  const Results base = run(1);
+  const Results got = run(4);
+
+  // EXPECT_EQ, not NEAR: every double must match bit for bit.
+  EXPECT_EQ(got.pr, base.pr) << "PR";
+  EXPECT_EQ(got.prd, base.prd) << "PRDelta";
+  EXPECT_EQ(got.y, base.y) << "SPMV";
+  EXPECT_EQ(got.b0, base.b0) << "BP";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, CooThreadIdentity,
+    ::testing::Values(
+        // Partition × domain sweep under the identity ordering, including
+        // the degenerate single-partition layout.
+        CooThreadCase{graph::VertexOrdering::kOriginal, 1, 1},
+        CooThreadCase{graph::VertexOrdering::kOriginal, 3, 2},
+        CooThreadCase{graph::VertexOrdering::kOriginal, 8, 4},
+        CooThreadCase{graph::VertexOrdering::kOriginal, 16, 2},
+        // Ordering sweep: relabelling changes the partition contents, never
+        // the identity contract.
+        CooThreadCase{graph::VertexOrdering::kDegreeDesc, 8, 2},
+        CooThreadCase{graph::VertexOrdering::kHilbert, 8, 4},
+        CooThreadCase{graph::VertexOrdering::kChildOrder, 8, 4}),
+    [](const auto& info) {
+      std::string name = graph::ordering_name(info.param.ordering);
+      for (char& ch : name)
+        if (ch == '-') ch = '_';  // gtest names must be [A-Za-z0-9_]
+      return name + "_p" + std::to_string(info.param.partitions) + "_d" +
+             std::to_string(info.param.domains);
+    });
 
 }  // namespace
 }  // namespace grind::engine

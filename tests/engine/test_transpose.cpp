@@ -19,35 +19,25 @@ namespace {
 using graph::BuildOptions;
 using graph::Graph;
 
-/// Claim-once accumulator, decomposable into scatter/gather so that a
-/// forward sweep would be PCPM-capable: forcing kPcpm on the transpose must
-/// still not route it to the (forward-only) message bins.
+/// Claim-once accumulator: acc[d] += s+1, d enters the frontier once.
 struct SumOp {
   std::uint64_t* acc;
   unsigned char* claimed;
 
-  using scatter_value_t = std::uint64_t;
-
-  bool update(vid_t s, vid_t d, weight_t w) { return gather(d, scatter(s, w)); }
-  bool update_atomic(vid_t s, vid_t d, weight_t) {
-    atomic_add(acc[d], static_cast<std::uint64_t>(s) + 1);
-    return atomic_claim(claimed[d]);
-  }
-  [[nodiscard]] std::uint64_t scatter(vid_t s, weight_t) const {
-    return static_cast<std::uint64_t>(s) + 1;
-  }
-  bool gather(vid_t d, std::uint64_t v) {
-    acc[d] += v;
+  bool update(vid_t s, vid_t d, weight_t) {
+    acc[d] += static_cast<std::uint64_t>(s) + 1;
     if (claimed[d] == 0) {
       claimed[d] = 1;
       return true;
     }
     return false;
   }
+  bool update_atomic(vid_t s, vid_t d, weight_t) {
+    atomic_add(acc[d], static_cast<std::uint64_t>(s) + 1);
+    return atomic_claim(claimed[d]);
+  }
   [[nodiscard]] bool cond(vid_t) const { return true; }
 };
-
-static_assert(ScatterGatherOperator<SumOp>);
 
 /// Oracle: for every edge (v, u) with u active, v receives u+1.
 void transpose_oracle(const graph::EdgeList& el,
@@ -221,7 +211,6 @@ TEST_P(TransposeOracle, MatchesAtEveryFrontierDensity) {
   b.num_partitions = 16;
   b.boundary_align = 8;  // gather sub-chunks share bitmap words
   b.build_partitioned_csr = true;
-  b.build_pcpm_bins = true;
   const Graph g = Graph::build(graph::EdgeList(el), b);
   const vid_t n = g.num_vertices();
 
@@ -248,8 +237,7 @@ INSTANTIATE_TEST_SUITE_P(
                       LayoutCase{Layout::kSparseCsr, "sparse"},
                       LayoutCase{Layout::kBackwardCsc, "backward"},
                       LayoutCase{Layout::kDenseCoo, "dense_coo"},
-                      LayoutCase{Layout::kPartitionedCsr, "partitioned_csr"},
-                      LayoutCase{Layout::kPcpm, "pcpm"}),
+                      LayoutCase{Layout::kPartitionedCsr, "partitioned_csr"}),
     [](const auto& info) { return std::string(info.param.name); });
 
 }  // namespace

@@ -120,8 +120,7 @@ Knobs make_knobs(std::mt19937_64& rng, int iter) {
   static constexpr vid_t kAligns[] = {8, 64};
   static constexpr engine::Layout kLayouts[] = {
       engine::Layout::kAuto, engine::Layout::kBackwardCsc,
-      engine::Layout::kDenseCoo, engine::Layout::kPartitionedCsr,
-      engine::Layout::kPcpm};
+      engine::Layout::kDenseCoo, engine::Layout::kPartitionedCsr};
   static constexpr engine::AtomicsMode kAtomics[] = {
       engine::AtomicsMode::kAuto, engine::AtomicsMode::kForceOn,
       engine::AtomicsMode::kForceOff};
@@ -191,9 +190,6 @@ TEST(DifferentialFuzz, AllRegisteredAlgorithmsMatchOraclesAcrossConfigs) {
     ++partitioner_exercised[k.partitioner->name];
     bopts.build_partitioned_csr =
         k.layout == engine::Layout::kPartitionedCsr;
-    // Scatter-gather-capable algorithms take the message-bin path under
-    // a forced kPcpm; the rest degrade through the kDenseCoo remap.
-    bopts.build_pcpm_bins = k.layout == engine::Layout::kPcpm;
     const graph::Graph g = graph::Graph::build(graph::EdgeList(el), bopts);
 
     engine::Options eopts;

@@ -8,7 +8,7 @@
 //   ggtool partition-report <graph> <partitions> [domains]
 //                   [--partitioner NAME] [--ppart k=v]...
 //   ggtool run      <ALGO> <graph>
-//                   [--partitions N] [--layout auto|csc|coo|pcsr|pcpm]
+//                   [--partitions N] [--layout auto|csc|coo|pcsr]
 //                   [--order original|degree|hilbert|child]
 //                   [--partitioner NAME] [--ppart k=v]...
 //                   [--source V] [--param k=v]... [--threads T]
@@ -142,7 +142,7 @@ int usage() {
          "    algo = " +
              algo_codes_line() +
              " (see `ggtool algos`)\n"
-             "    L = auto|csc|coo|pcsr|pcpm (traversal layout)\n"
+             "    L = auto|csc|coo|pcsr (traversal layout)\n"
              "    O = original|degree|hilbert|child (vertex reordering)\n"
              "    P = partitioning strategy (see `ggtool partitioners`)\n"
              "    D = logical NUMA domains of the build (default 4)\n"
@@ -483,7 +483,6 @@ int cmd_run(const std::vector<std::string>& args) {
       else if (l == "csc") eopts.layout = engine::Layout::kBackwardCsc;
       else if (l == "coo") eopts.layout = engine::Layout::kDenseCoo;
       else if (l == "pcsr") eopts.layout = engine::Layout::kPartitionedCsr;
-      else if (l == "pcpm") eopts.layout = engine::Layout::kPcpm;
       else return usage();
     } else if (a == "--order") {
       const auto o = graph::parse_ordering(next());
@@ -542,7 +541,6 @@ int cmd_run(const std::vector<std::string>& args) {
   }
   bopts.build_partitioned_csr =
       eopts.layout == engine::Layout::kPartitionedCsr;
-  bopts.build_pcpm_bins = eopts.layout == engine::Layout::kPcpm;
   if (!apply_partitioner_flags(partitioner, ppart_kvs, &bopts)) return 1;
 
   auto el = load_any(path);
