@@ -1,9 +1,9 @@
-// Google-benchmark microbenchmarks of the individual traversal kernels and
-// substrate primitives — the per-edge costs behind every figure — plus a
-// counting-allocator audit proving that steady-state edge_map iterations
-// (iteration ≥ 2 of PageRank / the second BFS run on a warm engine /
-// round ≥ 2 of PageRank-delta, edge_map plus vertex_map) perform zero heap
-// allocations when driven through a TraversalWorkspace.
+// Google-benchmark microbenchmarks of the individual traversal kernels, the
+// layout build and substrate primitives — the per-edge costs behind every
+// figure — plus a counting-allocator audit proving that steady-state
+// edge_map iterations (iteration ≥ 2 of PageRank / the second BFS run on a
+// warm engine / round ≥ 2 of PageRank-delta, edge_map plus vertex_map)
+// perform zero heap allocations when driven through a TraversalWorkspace.
 //
 // The audit emits one JSON object to stdout (before the benchmark table) so
 // successive PRs can track the allocation/time trajectory mechanically:
@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <utility>
 #include <vector>
 
 #include "algorithms/bfs.hpp"
@@ -23,6 +24,7 @@
 #include "algorithms/pagerank_delta.hpp"
 #include "engine/edge_map.hpp"
 #include "engine/engine.hpp"
+#include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "partition/hilbert.hpp"
 #include "suite.hpp"
@@ -289,6 +291,32 @@ void BM_PrefixSum(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PrefixSum);
+
+/// The builder's layouts stage on RMAT 2^16: CSR by scatter and row sort,
+/// CSC by transposing it, the partitioned COO from both.  Arg = threads;
+/// items/s = edges/s.
+void BM_BuildLayouts(benchmark::State& state) {
+  static const auto input = [] {
+    graph::EdgeList el = graph::rmat(16, 16, 7);
+    graph::BuildOptions b;
+    b.num_partitions = 256;
+    partition::Partitioning parts =
+        graph::GraphBuilder(el, b).partitioning_edges();
+    return std::pair(std::move(el), std::move(parts));
+  }();
+  const auto& [el, parts] = input;
+  ThreadCountGuard threads(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    const graph::Csr csr = graph::Csr::build(el, graph::Adjacency::kOut);
+    const graph::Csr csc = csr.transpose();
+    const auto coo = partition::PartitionedCoo::build(csr, csc, parts);
+    benchmark::DoNotOptimize(coo.all_edges().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(el.num_edges()));
+}
+BENCHMARK(BM_BuildLayouts)->Arg(1)->Arg(4)->UseRealTime();
 
 // ------------------------------------------------------------------ audit ---
 

@@ -21,7 +21,7 @@ struct Adj {
 
   explicit Adj(const graph::EdgeList& el)
       : out(graph::Csr::build(el, graph::Adjacency::kOut)),
-        in(graph::Csr::build(el, graph::Adjacency::kIn)) {}
+        in(out.transpose()) {}
 };
 
 }  // namespace

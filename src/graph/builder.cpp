@@ -225,7 +225,7 @@ GraphBuilder& GraphBuilder::layouts() {
   partition();
   if (!index_done_) {
     csr_ = Csr::build(el_, Adjacency::kOut);
-    csc_ = Csr::build(el_, Adjacency::kIn);
+    csc_ = csr_.transpose();
     index_done_ = true;
     index_placed_ = false;
   }
@@ -240,8 +240,8 @@ GraphBuilder& GraphBuilder::layouts() {
     index_placed_ = true;
   }
   if (!coo_done_) {
-    coo_ = partition::PartitionedCoo::build(el_, part_edges_, opts_.coo_order,
-                                            &numa_);
+    coo_ = partition::PartitionedCoo::build(csr_, csc_, part_edges_,
+                                            opts_.coo_order, &numa_);
     coo_done_ = true;
   }
   if (opts_.build_partitioned_csr) {

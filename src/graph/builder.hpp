@@ -18,12 +18,13 @@
 //              bit-for-bit (docs/PARTITIONING.md);
 //   partition  resolve the partition count and build both the edge- and
 //              vertex-balanced partitionings over the final ID space;
-//   layouts    build the CSR/CSC indexes, the partitioned COO, and (on
+//   layouts    build the CSR index (stable scatter + row sort), the CSC
+//              as its transpose, the partitioned COO from both, and (on
 //              request) the partitioned pruned CSR.
 //
 // Stages run lazily and are memoised; the with_*() setters invalidate
 // exactly the downstream state they affect (changing the COO edge order
-// rebuilds only the COO bucket sort — the ordering, partitionings, and
+// rebuilds only the COO buckets — the ordering, partitionings, and
 // CSR/CSC indexes are reused).  `build() &` copies the cached products into
 // a Graph and leaves the builder reusable, which is what lets
 // bench_fig7_sort_order sweep vertex orderings × edge orders without
@@ -31,7 +32,7 @@
 //
 // Known tradeoff: the lvalue build() deep-copies the cached stage products
 // (memcpy of large arrays) rather than sharing them — cheap next to the
-// sorts it avoids re-running, but it transiently doubles the graph's
+// passes it avoids re-running, but it transiently doubles the graph's
 // footprint.  Sweeps that are memory-bound should drop each Graph before
 // the next build(), or use the rvalue overload for the final point.
 #pragma once

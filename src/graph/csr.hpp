@@ -12,6 +12,7 @@
 // change CSC edge order (§II-C), so the CSC is deliberately unpartitioned.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -37,8 +38,31 @@ class Csr {
 
   /// Build from an edge list.  With Adjacency::kOut the neighbor arrays are
   /// grouped by source (CSR); with kIn they are grouped by destination (CSC).
-  /// Within a group, neighbors are sorted ascending, matching Fig 1.
+  /// Within a group, neighbors are sorted ascending, matching Fig 1, and
+  /// parallel edges keep their edge-list order.  A stable counting scatter
+  /// by row, then an in-place stable sort of each row.
   static Csr build(const EdgeList& el, Adjacency adj);
+
+  /// The same edges indexed the other way: the CSC of a CSR, the CSR of a
+  /// CSC.  One stable scatter of the rows in order, so every output row is
+  /// already sorted; equals build(el, other adjacency) of the same list.
+  [[nodiscard]] Csr transpose() const;
+
+  /// Visit edges [lo, hi) in index order as fn(row, e): row is the vertex
+  /// whose row holds edge e.  One binary search, then a linear walk.
+  template <typename F>
+  void for_each_edge(eid_t lo, eid_t hi, F&& fn) const {
+    if (lo >= hi) return;
+    auto row = static_cast<vid_t>(
+        std::upper_bound(offsets_.begin(), offsets_.end(), lo) -
+        offsets_.begin() - 1);
+    for (eid_t e = lo; e < hi; ++row) {
+      const eid_t end = std::min(hi, offsets_[row + 1]);
+      for (; e < end; ++e) fn(row, e);
+    }
+  }
+
+  friend bool operator==(const Csr&, const Csr&) = default;
 
   [[nodiscard]] vid_t num_vertices() const {
     return offsets_.empty() ? 0 : static_cast<vid_t>(offsets_.size() - 1);

@@ -6,6 +6,36 @@
 
 namespace grind::graph {
 
+namespace {
+
+/// Sort by (major, minor) with two stable counting scatters, least
+/// significant key first: the second pass keeps the first's order within
+/// each major key, and equal pairs keep their list order.
+template <typename Major, typename Minor>
+void stable_sort_edges(std::vector<Edge>& edges, vid_t num_vertices,
+                       Major major, Minor minor) {
+  // Keys must index a histogram; cover endpoints past num_vertices() too.
+  const std::size_t keys = parallel_reduce_max<std::size_t>(
+      0, edges.size(), num_vertices, [&](std::size_t i) {
+        return std::size_t{std::max(edges[i].src, edges[i].dst)} + 1;
+      });
+  std::vector<Edge> tmp(edges.size());
+  std::vector<eid_t> offsets;
+  const auto pass = [&](const std::vector<Edge>& from, std::vector<Edge>& to,
+                        auto key) {
+    counting_scatter(from.size(), keys, offsets,
+                     [&](std::size_t lo, std::size_t hi, auto&& emit) {
+                       for (std::size_t i = lo; i < hi; ++i)
+                         emit(key(from[i]),
+                              [&](eid_t slot) { to[slot] = from[i]; });
+                     });
+  };
+  pass(edges, tmp, minor);
+  pass(tmp, edges, major);
+}
+
+}  // namespace
+
 void EdgeList::add(vid_t src, vid_t dst, weight_t w) {
   edges_.push_back(Edge{src, dst, w});
   if (src >= num_vertices_) num_vertices_ = src + 1;
@@ -59,17 +89,13 @@ eid_t EdgeList::max_degree() const {
 }
 
 void EdgeList::sort_by_source() {
-  parallel_sort(edges_.begin(), edges_.end(),
-                [](const Edge& a, const Edge& b) {
-                  return a.src != b.src ? a.src < b.src : a.dst < b.dst;
-                });
+  stable_sort_edges(edges_, num_vertices_, [](const Edge& e) { return e.src; },
+                    [](const Edge& e) { return e.dst; });
 }
 
 void EdgeList::sort_by_destination() {
-  parallel_sort(edges_.begin(), edges_.end(),
-                [](const Edge& a, const Edge& b) {
-                  return a.dst != b.dst ? a.dst < b.dst : a.src < b.src;
-                });
+  stable_sort_edges(edges_, num_vertices_, [](const Edge& e) { return e.dst; },
+                    [](const Edge& e) { return e.src; });
 }
 
 }  // namespace grind::graph

@@ -43,8 +43,9 @@ class EdgeList {
   /// Remove self-loops (in place, stable).  Returns edges removed.
   eid_t remove_self_loops();
 
-  /// Remove duplicate (src,dst) pairs, keeping the first occurrence.
-  /// Sorts the list by (src,dst) as a side effect.  Returns edges removed.
+  /// Remove duplicate (src,dst) pairs, keeping the first occurrence in list
+  /// order (and its weight).  Sorts the list by (src,dst) as a side effect.
+  /// Returns edges removed.
   eid_t deduplicate();
 
   /// Make the graph undirected by adding the reverse of every edge (weights
@@ -61,10 +62,11 @@ class EdgeList {
   /// Sum over active source vertices used in frontier bookkeeping tests.
   [[nodiscard]] eid_t max_degree() const;
 
-  /// Sort edges by (src, dst) — CSR order.
+  /// Sort edges by (src, dst) — CSR order.  Stable: equal pairs keep their
+  /// list order, whatever the thread count.
   void sort_by_source();
 
-  /// Sort edges by (dst, src) — CSC order.
+  /// Sort edges by (dst, src) — CSC order.  Stable like sort_by_source.
   void sort_by_destination();
 
  private:

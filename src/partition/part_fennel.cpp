@@ -47,7 +47,7 @@ PartitionerDesc make_desc() {
     if (n == 0) return assignment;
 
     const graph::Csr out = graph::Csr::build(el, graph::Adjacency::kOut);
-    const graph::Csr in = graph::Csr::build(el, graph::Adjacency::kIn);
+    const graph::Csr in = out.transpose();
 
     const double m = static_cast<double>(el.num_edges());
     const double alpha =

@@ -39,7 +39,7 @@ PartitionerDesc make_desc() {
     if (n == 0) return assignment;
 
     const graph::Csr out = graph::Csr::build(el, graph::Adjacency::kOut);
-    const graph::Csr in = graph::Csr::build(el, graph::Adjacency::kIn);
+    const graph::Csr in = out.transpose();
 
     const vid_t cap = std::max<vid_t>(
         1, static_cast<vid_t>(std::ceil(

@@ -15,6 +15,7 @@
 #include <span>
 #include <vector>
 
+#include "graph/csr.hpp"
 #include "graph/edge_list.hpp"
 #include "partition/partitioner.hpp"
 #include "sys/numa.hpp"
@@ -47,11 +48,23 @@ class PartitionedCoo {
  public:
   PartitionedCoo() = default;
 
-  /// Bucket `el`'s edges by `parts` (home of each edge's destination for
-  /// PartitionBy::kDestination) and sort each bucket in `order`.  With a
-  /// NumaModel, each partition's slice of the (contiguous, partition-major)
-  /// edge array is routed through the arena of its owning domain
-  /// (sys/arena.hpp: mbind under GRIND_NUMA, accounting otherwise).
+  /// Bucket the edges indexed by `csr` and `csc` (the same graph's CSR and
+  /// CSC) by `parts` (home of each edge's destination for
+  /// PartitionBy::kDestination) in `order`, with no comparison sort:
+  /// buckets whose order follows the partitioned endpoint are that index's
+  /// rows in order, the others a stable scatter of the other index's rows,
+  /// and kHilbert stably sorts the kSource buckets by curve index.  Parallel
+  /// edges keep their edge-list order.  With a NumaModel, each partition's
+  /// slice of the (contiguous, partition-major) edge array is routed through
+  /// the arena of its owning domain (sys/arena.hpp: mbind under GRIND_NUMA,
+  /// accounting otherwise).  Throws std::out_of_range when an edge's
+  /// partitioned endpoint lies outside `parts`.
+  static PartitionedCoo build(const graph::Csr& csr, const graph::Csr& csc,
+                              const Partitioning& parts,
+                              EdgeOrder order = EdgeOrder::kSource,
+                              const NumaModel* numa = nullptr);
+
+  /// The same layout from an edge list: builds its CSR and CSC first.
   static PartitionedCoo build(const graph::EdgeList& el,
                               const Partitioning& parts,
                               EdgeOrder order = EdgeOrder::kSource,

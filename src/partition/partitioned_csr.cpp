@@ -47,12 +47,12 @@ PartitionedCsr PartitionedCsr::build(const graph::EdgeList& el,
     for (eid_t i = 0; i < m; ++i) bucket[i] = es[order[lo + i]];
     auto group_of = [by_dst](const Edge& e) { return by_dst ? e.src : e.dst; };
     auto target_of = [by_dst](const Edge& e) { return by_dst ? e.dst : e.src; };
-    std::sort(bucket.begin(), bucket.end(),
-              [&](const Edge& a, const Edge& b) {
-                return group_of(a) != group_of(b)
-                           ? group_of(a) < group_of(b)
-                           : target_of(a) < target_of(b);
-              });
+    std::stable_sort(bucket.begin(), bucket.end(),
+                     [&](const Edge& a, const Edge& b) {
+                       return group_of(a) != group_of(b)
+                                  ? group_of(a) < group_of(b)
+                                  : target_of(a) < target_of(b);
+                     });
 
     part.targets.resize(m);
     part.weights.resize(m);

@@ -1,7 +1,8 @@
 // OpenMP-based parallel primitives: parallel_for over index ranges, tree
-// reductions, inclusive/exclusive prefix sums and a parallel merge-style
-// sort.  This is the only module that touches OpenMP pragmas directly (apart
-// from the traversal kernels), so the rest of the library stays portable.
+// reductions, inclusive/exclusive prefix sums, a stable counting scatter and
+// a parallel merge-style sort.  This is the only module that touches OpenMP
+// pragmas directly (apart from the traversal kernels), so the rest of the
+// library stays portable.
 //
 // The paper's framework is built on Cilk with NUMA-aware loop scheduling;
 // OpenMP dynamic scheduling over partitions provides the same work
@@ -197,6 +198,78 @@ template <typename T>
 T exclusive_scan(const std::vector<T>& in, std::vector<T>& out) {
   out.resize(in.size());
   return exclusive_scan(in.data(), out.data(), in.size());
+}
+
+/// Blocks a pass over n items is cut into: one per thread, or a single block
+/// when n is below kSerialCutoff.
+inline std::size_t num_blocks(std::size_t n) {
+  return n < kSerialCutoff ? 1 : static_cast<std::size_t>(num_threads());
+}
+
+/// Run f(b, lo, hi) for each of `blocks` contiguous near-equal pieces of
+/// [0, n) in parallel; piece b is [n·b/blocks, n·(b+1)/blocks).
+template <typename F>
+void parallel_for_blocks(std::size_t n, std::size_t blocks, F&& f) {
+  parallel_for_dynamic(0, blocks, [&](std::size_t b) {
+    f(b, n * b / blocks, n * (b + 1) / blocks);
+  });
+}
+
+/// counting_scatter with cursors of type C.
+template <typename C, typename T, typename Walk>
+void detail_counting_scatter(std::size_t n, std::size_t num_keys,
+                             std::vector<T>& offsets, Walk& walk) {
+  const std::size_t nb = num_blocks(n);
+  // cursor[b·num_keys + k]: block b's count of key k, then its next slot.
+  std::vector<C> cursor(nb * num_keys, C{});
+  parallel_for_blocks(n, nb, [&](std::size_t b, std::size_t lo,
+                                 std::size_t hi) {
+    C* c = cursor.data() + b * num_keys;
+    walk(lo, hi, [c](std::size_t key, auto&&) { ++c[key]; });
+  });
+  offsets.assign(num_keys + 1, T{});
+  parallel_for(0, num_keys, [&](std::size_t k) {
+    T total{};
+    for (std::size_t b = 0; b < nb; ++b) total += cursor[b * num_keys + k];
+    offsets[k] = total;
+  });
+  offsets[num_keys] = exclusive_scan(offsets.data(), offsets.data(), num_keys);
+  parallel_for(0, num_keys, [&](std::size_t k) {
+    T next = offsets[k];
+    for (std::size_t b = 0; b < nb; ++b) {
+      const C count = cursor[b * num_keys + k];
+      cursor[b * num_keys + k] = static_cast<C>(next);
+      next += count;
+    }
+  });
+  parallel_for_blocks(n, nb, [&](std::size_t b, std::size_t lo,
+                                 std::size_t hi) {
+    C* c = cursor.data() + b * num_keys;
+    walk(lo, hi, [c](std::size_t key, auto&& store) { store(c[key]++); });
+  });
+}
+
+/// Stable parallel counting scatter: a counting sort of n items by a key in
+/// [0, num_keys).
+///
+/// The items are cut into num_blocks(n) contiguous blocks.  Each block
+/// counts its keys into its own histogram, a scan turns the histograms into
+/// per-block cursors, and each block then scatters its own items.  `walk(lo,
+/// hi, emit)` visits items lo..hi-1 in order and calls `emit(key, store)`
+/// once for each; on the scatter pass emit calls `store(slot)` with the
+/// item's output position (on the counting pass it does not).  Items of one
+/// key keep their input order, so the result does not depend on the thread
+/// count.  `offsets` receives num_keys + 1 entries: key k's items occupy
+/// [offsets[k], offsets[k+1]).
+///
+/// Temporaries: num_blocks(n)·num_keys cursors, 32-bit while n < 2^32.
+template <typename T, typename Walk>
+void counting_scatter(std::size_t n, std::size_t num_keys,
+                      std::vector<T>& offsets, Walk&& walk) {
+  if (n < std::numeric_limits<std::uint32_t>::max())
+    detail_counting_scatter<std::uint32_t>(n, num_keys, offsets, walk);
+  else
+    detail_counting_scatter<T>(n, num_keys, offsets, walk);
 }
 
 template <typename It, typename Cmp>

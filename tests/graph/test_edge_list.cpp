@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "graph/generators.hpp"
+#include "sys/parallel.hpp"
 
 namespace grind::graph {
 namespace {
@@ -89,6 +97,31 @@ TEST(EdgeList, SortOrders) {
   el.sort_by_destination();
   EXPECT_EQ(el.edge(0).dst, 0u);
   EXPECT_EQ(el.edge(3).dst, 2u);
+}
+
+TEST(EdgeList, DeduplicateKeepsFirstWeightAtEveryThreadCount) {
+  const EdgeList input = rmat(14, 16, 3);
+  // The survivor of each (src, dst) pair is its first occurrence.
+  std::map<std::pair<vid_t, vid_t>, std::uint32_t> first;
+  for (const Edge& e : input.edges())
+    first.emplace(std::pair(e.src, e.dst),
+                  std::bit_cast<std::uint32_t>(e.weight));
+  ASSERT_LT(first.size(), input.num_edges());
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    ThreadCountGuard guard(threads);
+    EdgeList el = input;
+    EXPECT_EQ(el.deduplicate(), input.num_edges() - first.size());
+    ASSERT_EQ(el.num_edges(), first.size());
+    std::size_t i = 0, mismatches = 0;
+    for (const auto& [pair, weight] : first) {
+      const Edge& e = el.edge(i++);
+      if (e.src != pair.first || e.dst != pair.second ||
+          std::bit_cast<std::uint32_t>(e.weight) != weight)
+        ++mismatches;
+    }
+    EXPECT_EQ(mismatches, 0u);
+  }
 }
 
 TEST(EdgeList, EmptyOperationsAreSafe) {

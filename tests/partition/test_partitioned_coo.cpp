@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 #include <tuple>
 
 #include "graph/generators.hpp"
@@ -113,6 +114,20 @@ TEST(PartitionedCoo, WeightsSurviveBucketingAndSorting) {
   float sum = 0.0f;
   for (const Edge& e : coo.all_edges()) sum += e.weight;
   EXPECT_FLOAT_EQ(sum, 7.5f);
+}
+
+TEST(PartitionedCoo, DestinationOutsidePartitioningThrows) {
+  EdgeList small;
+  small.add(0, 1);
+  small.add(2, 3);
+  PartitionOptions opts;
+  opts.boundary_align = 1;
+  const Partitioning parts = make_partitioning(small, 2, opts);
+  EdgeList el = small;
+  el.add(1, 6);
+  for (EdgeOrder order : {EdgeOrder::kSource, EdgeOrder::kDestination,
+                          EdgeOrder::kHilbert})
+    EXPECT_THROW(PartitionedCoo::build(el, parts, order), std::out_of_range);
 }
 
 }  // namespace

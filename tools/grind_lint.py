@@ -46,6 +46,16 @@ that sit above any single lock:
                            cache line, so 2–4 threads appending to their own
                            lists write one line, and the sparse push stopped
                            scaling past one thread.
+  unstable-layout-sort     no `std::sort(` or `parallel_sort(` in the layout
+                           builders (src/graph/{csr,edge_list,builder}.cpp,
+                           src/partition/partitioned_{coo,csr}.cpp) — an
+                           unstable sort leaves parallel edges (repeated
+                           (src, dst) pairs) in whatever order introsort or
+                           the thread count picks, so their weights land in
+                           different slots; EdgeList::deduplicate kept a
+                           thread-count-dependent weight this way.  The
+                           builders use the stable counting scatter
+                           (sys/parallel.hpp) or std::stable_sort.
   service-engine-unleased  no engine::Engine construction in src/service/
                            without a leased workspace argument — an Engine
                            default-allocates private scratch, so a
@@ -406,6 +416,34 @@ def rule_thread_state_unpadded(path, text):
     return out
 
 
+UNSTABLE_SORT_RE = re.compile(r"\bstd::sort\s*\(|\bparallel_sort\s*\(")
+
+LAYOUT_BUILDERS = {
+    "src/graph/csr.cpp",
+    "src/graph/edge_list.cpp",
+    "src/graph/builder.cpp",
+    "src/partition/partitioned_coo.cpp",
+    "src/partition/partitioned_csr.cpp",
+}
+
+
+def rule_unstable_layout_sort(path, text):
+    return [
+        (
+            idx,
+            "unstable sort in a layout builder — parallel edges must keep "
+            "their edge-list order at every thread count; use the stable "
+            "counting_scatter (sys/parallel.hpp) or std::stable_sort",
+        )
+        for idx, line in enumerate(text.splitlines())
+        if UNSTABLE_SORT_RE.search(line)
+    ]
+
+
+def scope_layout_builders(rel):
+    return rel in LAYOUT_BUILDERS
+
+
 def scope_engine_and_frontier(rel):
     return rel.startswith("src/engine/") or rel.startswith("src/frontier/")
 
@@ -516,6 +554,13 @@ RULES = [
         rule_thread_state_unpadded,
         False,
         "per-thread state in src/engine/, src/frontier/ uses padded ThreadSlot",
+    ),
+    Rule(
+        "unstable-layout-sort",
+        scope_layout_builders,
+        rule_unstable_layout_sort,
+        False,
+        "no std::sort( / parallel_sort( in the CSR/CSC/COO/edge-list builders",
     ),
     Rule(
         "service-engine-unleased",
@@ -808,6 +853,40 @@ SELF_TESTS = [
         "src/partition/seeded.cpp",
         "std::vector<std::vector<vid_t>> members(parts);\n",
         "thread-state-unpadded",
+        False,
+    ),
+    (
+        "unstable-layout-sort fires on std::sort in the CSR builder",
+        "src/graph/csr.cpp",
+        "void f(std::vector<vid_t>& row) {\n"
+        "  std::sort(row.begin(), row.end());\n}\n",
+        "unstable-layout-sort",
+        True,
+    ),
+    (
+        "unstable-layout-sort fires on parallel_sort in the edge list",
+        "src/graph/edge_list.cpp",
+        "void EdgeList::sort_by_source() {\n"
+        "  parallel_sort(edges_.begin(), edges_.end(), by_source);\n}\n",
+        "unstable-layout-sort",
+        True,
+    ),
+    (
+        "unstable-layout-sort quiet on std::stable_sort in the COO builder",
+        "src/partition/partitioned_coo.cpp",
+        "void f(Edge* lo, Edge* hi) {\n"
+        "  // std::sort( would reorder parallel edges.\n"
+        "  std::stable_sort(lo, hi, by_curve);\n}\n",
+        "unstable-layout-sort",
+        False,
+    ),
+    (
+        "unstable-layout-sort out of scope outside the layout builders",
+        "src/graph/reorder.cpp",
+        "void f(std::vector<vid_t>& order) {\n"
+        "  parallel_sort(order.begin(), order.end(), by_degree);\n"
+        "  std::sort(order.begin(), order.end());\n}\n",
+        "unstable-layout-sort",
         False,
     ),
     (
