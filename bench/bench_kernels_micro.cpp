@@ -172,6 +172,45 @@ void BM_EdgeMap_CooNoAtomics_Reused(benchmark::State& state) {
 }
 BENCHMARK(BM_EdgeMap_CooNoAtomics_Reused);
 
+/// The claim-and-mark sweep of PageRank-delta's dense rounds: PrDeltaOp
+/// over a full frontier through the non-atomic COO, each destination
+/// claimed (byte flag) and marked on its first update.  The flags are
+/// cleared before each sweep, a 1-byte-per-vertex fill timed with it, as
+/// the algorithm's vertex_map clears them between rounds.
+void BM_EdgeMap_CooClaim_Reused(benchmark::State& state) {
+  const auto& g = micro_graph();
+  const vid_t n = g.num_vertices();
+  std::vector<double> contrib(n, 1.0 / static_cast<double>(n));
+  std::vector<double> acc(n, 0.0);
+  std::vector<unsigned char> claimed(n, 0);
+  engine::Options opts;
+  opts.layout = engine::Layout::kDenseCoo;
+  opts.atomics = engine::AtomicsMode::kForceOff;
+  engine::Engine eng(g, opts);
+  Frontier all = Frontier::all(n, &g.csr());
+  const auto sweep = [&] {
+    std::fill(claimed.begin(), claimed.end(), 0);
+    Frontier next = eng.edge_map(
+        all, algorithms::detail::PrDeltaOp{
+                 {}, contrib.data(), acc.data(), claimed.data()});
+    eng.recycle(next);
+  };
+  sweep();  // warm the pools so the loop below measures the steady state
+  std::uint64_t allocs = 0;
+  for (auto _ : state) {
+    const std::uint64_t before = allocs_now();
+    sweep();
+    benchmark::DoNotOptimize(acc.data());
+    benchmark::ClobberMemory();
+    allocs += allocs_now() - before;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(g.num_edges()));
+  state.counters["allocs/iter"] = benchmark::Counter(
+      static_cast<double>(allocs) / static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_EdgeMap_CooClaim_Reused);
+
 void BM_EdgeMap_CooAtomics(benchmark::State& state) {
   run_layout(state, engine::Layout::kDenseCoo, engine::AtomicsMode::kForceOn);
 }

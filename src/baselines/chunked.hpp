@@ -66,8 +66,8 @@ Frontier chunked_edge_map(const graph::Graph& g, Frontier& f, Op& op,
   const Bitmap& in = f.bitmap();
   Bitmap next = ws.acquire_bitmap(g.num_vertices());
   parallel_for_dynamic(0, chunks.size(), [&](std::size_t c) {
-    engine::gather_range(adj, in, op, chunks[c], BitSetter<false>{&next},
-                         /*prefetch=*/false);
+    engine::gather_range(adj, in, op, chunks[c],
+                         BitSetter<false>{next.words()}, /*prefetch=*/false);
   });
   Frontier out = Frontier::from_bitmap(std::move(next));
   out.recount(&engine::push_index<D>(g));

@@ -15,6 +15,16 @@
 //                            is false.  Operators that never filter derive
 //                            from CondTrue instead.
 //
+// Kernels run a private copy of the operator: one per work item (a COO
+// partition or chunk, a CSC sub-chunk, a pruned-CSR partition or chunk) and
+// one per thread in the sparse push.  A copy that is a local keeps the
+// operator's fields in registers across its own stores (docs/ENGINE.md,
+// "Kernel inner loops").  So an operator must be copyable, and every piece
+// of mutable state it shares with the algorithm (ranks, flags, counters)
+// must sit behind a pointer or a reference: a value member written by one
+// copy is lost with it.  A lambda passed to make_edge_op captures such
+// state by reference or through a pointer.
+//
 // Helper adaptors below build operators from lambdas so simple algorithms
 // stay terse.
 #pragma once
@@ -27,7 +37,8 @@
 namespace grind::engine {
 
 template <typename Op>
-concept EdgeOperator = requires(Op op, vid_t s, vid_t d, weight_t w) {
+concept EdgeOperator = std::copy_constructible<Op> &&
+                       requires(Op op, vid_t s, vid_t d, weight_t w) {
   { op.update(s, d, w) } -> std::convertible_to<bool>;
   { op.update_atomic(s, d, w) } -> std::convertible_to<bool>;
   { op.cond(d) } -> std::convertible_to<bool>;

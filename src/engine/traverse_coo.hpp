@@ -23,6 +23,9 @@
 // stores its edges, with gated stealing for load balance (§III-D).
 #pragma once
 
+#include <cstdint>
+#include <span>
+
 #include "engine/domain_sched.hpp"
 #include "engine/operators.hpp"
 #include "engine/workspace.hpp"
@@ -33,6 +36,27 @@
 #include "sys/parallel.hpp"
 
 namespace grind::engine {
+
+/// Apply the operator over one work item's edges, in their stored order,
+/// marking each destination an update activates.  The operator, the input
+/// frontier's words and the setter arrive by value: they are the item's
+/// private copies, which the loop keeps in registers.  Reached through the
+/// kernel's shared references instead, they are loaded on every active
+/// edge: the compiler does not hoist loads only some edges execute, and a
+/// claim flag stored through `unsigned char*` may alias anything
+/// (docs/ENGINE.md, "Kernel inner loops").  Atomic selects update_atomic,
+/// for chunks that share a partition's destinations.
+template <bool Atomic, EdgeOperator Op, typename Mark>
+void coo_apply(std::span<const Edge> es, const std::uint64_t* in_words,
+               Op local, Mark mark) {
+  for (const Edge& e : es) {
+    if (!test_bit(in_words, e.src) || !local.cond(e.dst)) continue;
+    const bool activated = Atomic
+                               ? local.update_atomic(e.src, e.dst, e.weight)
+                               : local.update(e.src, e.dst, e.weight);
+    if (activated) mark(e.dst);
+  }
+}
 
 /// `cancel`, when non-null, is polled once per partition/chunk: a fired token
 /// makes remaining work items return immediately (the sweep "drains").  The
@@ -68,12 +92,7 @@ Frontier traverse_coo(const graph::Graph& g, Frontier& f, Op& op,
                 if (cancel != nullptr && cancel->should_stop())
                   return std::uint64_t{0};
                 const auto es = coo.edges(static_cast<part_t>(p));
-                for (const Edge& e : es) {
-                  if (in.get(e.src) && op.cond(e.dst) &&
-                      op.update(e.src, e.dst, e.weight)) {
-                    mark(e.dst);
-                  }
-                }
+                coo_apply</*Atomic=*/false>(es, in.words(), op, mark);
                 return static_cast<std::uint64_t>(es.size());
               });
         });
@@ -89,15 +108,11 @@ Frontier traverse_coo(const graph::Graph& g, Frontier& f, Op& op,
         [&](std::size_t w) {
           if (cancel != nullptr && cancel->should_stop()) return std::uint64_t{0};
           const partition::CooChunk& it = items[w];
-          const auto es = coo.edges(it.part);
-          for (eid_t i = it.begin; i < it.end; ++i) {
-            const Edge& e = es[i];
-            if (in.get(e.src) && op.cond(e.dst) &&
-                op.update_atomic(e.src, e.dst, e.weight)) {
-              next.set_atomic(e.dst);
-            }
-          }
-          return static_cast<std::uint64_t>(it.end - it.begin);
+          const auto es =
+              coo.edges(it.part).subspan(it.begin, it.end - it.begin);
+          coo_apply</*Atomic=*/true>(es, in.words(), op,
+                                     BitSetter<true>{next.words()});
+          return static_cast<std::uint64_t>(es.size());
         });
   }
   if (affinity != nullptr) affinity->merge(counts);

@@ -49,33 +49,41 @@ inline const std::vector<VertexRange>& csc_sub_chunks(
 }
 
 /// Lookahead distance (in edges) of the backward gather's frontier-word
-/// prefetch: the inner loop's demand miss is `in.get(s)` — one random
-/// bitmap word per in-edge — so the word of the source `kCscPrefetchDist`
-/// slots ahead is prefetched while the current edges are applied.
+/// prefetch: the inner loop's demand miss is the source's frontier bit —
+/// one random bitmap word per in-edge — so the word of the source
+/// `kCscPrefetchDist` slots ahead is prefetched while the current edges are
+/// applied.
 inline constexpr std::size_t kCscPrefetchDist = 8;
 
 /// Gather into the destinations of `r` over the in-edges `adj` holds: per
 /// destination d with cond(d), apply every edge from an active source and
 /// stop once cond(d) turns false; `mark(d)` records activations.  Returns
 /// the edges examined.  d is the only writer of its own state, so the
-/// updates need no atomics; the baseline engines share this loop.
+/// updates need no atomics; the baseline engines share this loop.  The
+/// operator and the setter arrive by value, the work item's private
+/// copies, and the index and frontier pointers are hoisted, so the loop
+/// keeps them in registers across the operator's stores (see coo_apply,
+/// traverse_coo.hpp).
 template <EdgeOperator Op, typename Mark>
-eid_t gather_range(const graph::Csr& adj, const Bitmap& in, Op& op,
+eid_t gather_range(const graph::Csr& adj, const Bitmap& in, Op local,
                    VertexRange r, Mark mark, bool prefetch) {
   const std::uint64_t* in_words = in.words();
+  const eid_t* offsets = adj.offsets().data();
+  const vid_t* neighbors = adj.neighbors().data();
+  const weight_t* weights = adj.weights().data();
   eid_t edges = 0;
   for (vid_t d = r.begin; d < r.end; ++d) {
-    if (!op.cond(d)) continue;
-    const auto neigh = adj.neighbors(d);
-    const auto wts = adj.weights(d);
-    for (std::size_t j = 0; j < neigh.size(); ++j) {
+    if (!local.cond(d)) continue;
+    const eid_t first = offsets[d];
+    const eid_t last = offsets[d + 1];
+    for (eid_t j = first; j < last; ++j) {
       ++edges;
-      if (prefetch && j + kCscPrefetchDist < neigh.size())
-        __builtin_prefetch(&in_words[neigh[j + kCscPrefetchDist] >> 6]);
-      const vid_t s = neigh[j];
-      if (!in.get(s)) continue;
-      if (op.update(s, d, wts[j])) mark(d);
-      if (!op.cond(d)) break;  // destination saturated; skip remaining
+      if (prefetch && j + kCscPrefetchDist < last)
+        __builtin_prefetch(&in_words[neighbors[j + kCscPrefetchDist] >> 6]);
+      const vid_t s = neighbors[j];
+      if (!test_bit(in_words, s)) continue;
+      if (local.update(s, d, weights[j])) mark(d);
+      if (!local.cond(d)) break;  // destination saturated; skip remaining
     }
   }
   return edges;

@@ -52,6 +52,8 @@ Frontier traverse_csr_sparse(const graph::Graph& g, Frontier& f, Op& op,
 #pragma omp parallel num_threads(static_cast<int>(nt))
   {
     ThreadSlot& slot = slots[static_cast<std::size_t>(omp_get_thread_num())];
+    // This thread's private copy of the operator (operators.hpp).
+    Op local = op;
     eid_t edges = 0;
     eid_t degree = 0;
 #pragma omp for schedule(dynamic, 16) nowait
@@ -66,7 +68,7 @@ Frontier traverse_csr_sparse(const graph::Graph& g, Frontier& f, Op& op,
         if (prefetch && j + kCsrPrefetchDist < neigh.size())
           __builtin_prefetch(&neigh[j + kCsrPrefetchDist]);
         const vid_t d = neigh[j];
-        if (op.cond(d) && op.update_atomic(s, d, wts[j])) {
+        if (local.cond(d) && local.update_atomic(s, d, wts[j])) {
           slot.list.push_back(d);
           degree += adj.degree(d);
         }

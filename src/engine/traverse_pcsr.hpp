@@ -19,6 +19,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "engine/domain_sched.hpp"
@@ -32,6 +33,33 @@
 #include "sys/parallel.hpp"
 
 namespace grind::engine {
+
+/// Apply the operator over the edges of local sources [begin, end) of one
+/// partition, marking each destination an update activates.  As in
+/// coo_apply (traverse_coo.hpp), the operator, the input frontier's words
+/// and the setter are the work item's private copies, and the partition's
+/// array pointers are hoisted, so the loop keeps them all in registers
+/// across the operator's stores.
+template <bool Atomic, EdgeOperator Op, typename Mark>
+void pcsr_apply(const partition::PrunedCsrPart& part, vid_t begin, vid_t end,
+                const std::uint64_t* in_words, Op local, Mark mark) {
+  const vid_t* ids = part.vertex_ids.data();
+  const eid_t* offsets = part.offsets.data();
+  const vid_t* targets = part.targets.data();
+  const weight_t* weights = part.weights.data();
+  for (vid_t i = begin; i < end; ++i) {
+    const vid_t s = ids[i];
+    if (!test_bit(in_words, s)) continue;
+    const eid_t last = offsets[i + 1];
+    for (eid_t j = offsets[i]; j < last; ++j) {
+      const vid_t d = targets[j];
+      if (!local.cond(d)) continue;
+      const bool activated = Atomic ? local.update_atomic(s, d, weights[j])
+                                    : local.update(s, d, weights[j]);
+      if (activated) mark(d);
+    }
+  }
+}
 
 template <EdgeOperator Op>
 Frontier traverse_partitioned_csr(const graph::Graph& g, Frontier& f, Op& op,
@@ -66,17 +94,9 @@ Frontier traverse_partitioned_csr(const graph::Graph& g, Frontier& f, Op& op,
                 if (cancel != nullptr && cancel->should_stop())
                   return std::uint64_t{0};
                 const auto& part = pc.part(static_cast<part_t>(pi));
-                const vid_t nloc = part.num_local_vertices();
-                for (vid_t i = 0; i < nloc; ++i) {
-                  const vid_t s = part.vertex_ids[i];
-                  if (!in.get(s)) continue;
-                  for (eid_t j = part.offsets[i]; j < part.offsets[i + 1];
-                       ++j) {
-                    const vid_t d = part.targets[j];
-                    if (op.cond(d) && op.update(s, d, part.weights[j]))
-                      mark(d);
-                  }
-                }
+                pcsr_apply</*Atomic=*/false>(part, 0,
+                                             part.num_local_vertices(),
+                                             in.words(), op, mark);
                 return static_cast<std::uint64_t>(part.num_edges());
               });
         });
@@ -94,15 +114,8 @@ Frontier traverse_partitioned_csr(const graph::Graph& g, Frontier& f, Op& op,
           if (cancel != nullptr && cancel->should_stop()) return std::uint64_t{0};
           const partition::PcsrChunk& it = items[w];
           const auto& part = pc.part(it.part);
-          for (vid_t i = it.begin; i < it.end; ++i) {
-            const vid_t s = part.vertex_ids[i];
-            if (!in.get(s)) continue;
-            for (eid_t j = part.offsets[i]; j < part.offsets[i + 1]; ++j) {
-              const vid_t d = part.targets[j];
-              if (op.cond(d) && op.update_atomic(s, d, part.weights[j]))
-                next.set_atomic(d);
-            }
-          }
+          pcsr_apply</*Atomic=*/true>(part, it.begin, it.end, in.words(), op,
+                                      BitSetter<true>{next.words()});
           return static_cast<std::uint64_t>(
               part.offsets[it.end] - part.offsets[it.begin]);
         });

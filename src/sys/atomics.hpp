@@ -41,9 +41,14 @@ bool atomic_write_min(T& target, T v) {
 }
 
 /// Test-and-set on a byte flag; returns true iff this call set it (claim).
+/// The flag is read first and exchanged only while it reads 0, so the
+/// edges reaching an already-claimed destination share its cache line
+/// instead of each taking it exclusive.  The exchange still decides who
+/// claims: at most one call per flag returns true.
 inline bool atomic_claim(unsigned char& flag) {
   std::atomic_ref<unsigned char> ref(flag);
-  return ref.exchange(1, std::memory_order_relaxed) == 0;
+  return ref.load(std::memory_order_relaxed) == 0 &&
+         ref.exchange(1, std::memory_order_relaxed) == 0;
 }
 
 }  // namespace grind

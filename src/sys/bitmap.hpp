@@ -32,6 +32,13 @@ constexpr std::size_t bitmap_words(std::size_t bits) {
   return (bits + 63) / 64;
 }
 
+/// Bit i of the bitmap whose words start at `words`.  The kernels read
+/// their input frontier this way from a pointer hoisted into a local, so a
+/// store the operator makes cannot force the pointer to be reloaded.
+[[nodiscard]] inline bool test_bit(const std::uint64_t* words, std::size_t i) {
+  return (words[i >> 6] >> (i & 63)) & 1ULL;
+}
+
 /// Plain (non-atomic) bitmap.  Safe for concurrent writes only when writers
 /// own disjoint 64-bit word ranges — which partition boundaries aligned to
 /// multiples of 64 vertices provide (Partitioning::word_aligned).
@@ -56,7 +63,7 @@ class Bitmap {
     return (w.fetch_or(mask, std::memory_order_relaxed) & mask) == 0;
   }
   [[nodiscard]] bool get(std::size_t i) const {
-    return (words_[i >> 6] >> (i & 63)) & 1ULL;
+    return test_bit(words_.data(), i);
   }
 
   /// Zero all bits (parallel).
@@ -193,13 +200,20 @@ class AtomicBitmap {
   std::vector<std::atomic<std::uint64_t>> words_;
 };
 
-/// Sets bits of one Bitmap with the atomicity fixed at compile time.
+/// Sets bits of one Bitmap with the atomicity fixed at compile time.  It
+/// holds the word pointer itself, not the Bitmap, so a copy of it in a
+/// kernel's loop stays in a register across the operator's stores.
 template <bool Atomic>
 struct BitSetter {
-  Bitmap* bits;
+  std::uint64_t* words;
   void operator()(std::size_t i) const {
-    if constexpr (Atomic) bits->set_atomic(i);
-    else bits->set(i);
+    const std::uint64_t mask = 1ULL << (i & 63);
+    if constexpr (Atomic) {
+      std::atomic_ref<std::uint64_t>(words[i >> 6])
+          .fetch_or(mask, std::memory_order_relaxed);
+    } else {
+      words[i >> 6] |= mask;
+    }
   }
 };
 
@@ -210,8 +224,8 @@ struct BitSetter {
 /// when adjacent partitions share a word.
 template <typename Fn>
 auto with_bit_setter(Bitmap& bits, bool atomic, Fn&& fn) {
-  if (atomic) return fn(BitSetter<true>{&bits});
-  return fn(BitSetter<false>{&bits});
+  if (atomic) return fn(BitSetter<true>{bits.words()});
+  return fn(BitSetter<false>{bits.words()});
 }
 
 }  // namespace grind

@@ -4,6 +4,7 @@
 // representation.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <string>
 #include <tuple>
@@ -348,6 +349,180 @@ TEST(Kernels, PartitionParallelNextFrontierExactAtEveryBoundaryAlign) {
         eng.recycle(next);
       }
       EXPECT_EQ(eng.stats().calls_for(kind), 4u) << to_string(kind);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Claim-and-accumulate operators through the partition-parallel kernels.
+// Every work item runs a private copy of the operator (operators.hpp), so
+// these check that nothing is lost with a copy and that the claim and mark
+// stores give the exact receiver set at every thread count, atomics mode
+// and boundary alignment.
+
+/// Serial PRDelta accumulation over `layout`'s own edge order: each
+/// destination receives its contributions in the order the single-writer
+/// kernel applies them, so a non-atomic sweep must match it bit for bit.
+std::vector<double> serial_delta_sums(const Graph& g, Layout layout,
+                                      const std::vector<bool>& active,
+                                      const std::vector<double>& contrib) {
+  std::vector<double> acc(g.num_vertices(), 0.0);
+  if (layout == Layout::kDenseCoo) {
+    for (part_t p = 0; p < g.coo().num_partitions(); ++p)
+      for (const Edge& e : g.coo().edges(p))
+        if (active[e.src]) acc[e.dst] += contrib[e.src];
+  } else if (layout == Layout::kBackwardCsc) {
+    const graph::Csr& csc = gather_index<Direction::kForward>(g);
+    for (vid_t d = 0; d < g.num_vertices(); ++d)
+      for (const vid_t s : csc.neighbors(d))
+        if (active[s]) acc[d] += contrib[s];
+  } else {
+    const auto& pc = g.partitioned_csr();
+    for (part_t p = 0; p < pc.num_partitions(); ++p) {
+      const auto& part = pc.part(p);
+      for (vid_t i = 0; i < part.num_local_vertices(); ++i) {
+        const vid_t s = part.vertex_ids[i];
+        if (!active[s]) continue;
+        for (eid_t j = part.offsets[i]; j < part.offsets[i + 1]; ++j)
+          acc[part.targets[j]] += contrib[s];
+      }
+    }
+  }
+  return acc;
+}
+
+constexpr std::pair<Layout, TraversalKind> kPartitionKernels[] = {
+    {Layout::kDenseCoo, TraversalKind::kDenseCoo},
+    {Layout::kBackwardCsc, TraversalKind::kBackwardCsc},
+    {Layout::kPartitionedCsr, TraversalKind::kPartitionedCsr}};
+
+TEST(Kernels, ClaimingOperatorMatchesSerialReference) {
+  const auto el = graph::rmat(11, 8, 77);
+  const vid_t n = el.num_vertices();
+  std::vector<bool> active(n, false);
+  std::vector<vid_t> verts;
+  for (vid_t v = 0; v < n; v += 3) {
+    active[v] = true;
+    verts.push_back(v);
+  }
+  std::vector<std::uint64_t> unused;
+  std::vector<bool> receivers;
+  oracle(el, active, unused, receivers);
+  // Inexact fractions, so a different summation order shows in the bits.
+  std::vector<double> contrib(n);
+  for (vid_t v = 0; v < n; ++v)
+    contrib[v] = 1.0 / (3.0 + static_cast<double>(v % 17));
+
+  for (const vid_t align : {1u, 64u}) {
+    BuildOptions b;
+    b.num_partitions = 64;
+    b.boundary_align = align;
+    b.build_partitioned_csr = true;
+    const Graph g = Graph::build(graph::EdgeList(el), b);
+
+    for (const auto& [layout, kind] : kPartitionKernels) {
+      const std::vector<double> want = serial_delta_sums(g, layout, active,
+                                                         contrib);
+      for (const AtomicsMode atomics :
+           {AtomicsMode::kForceOff, AtomicsMode::kForceOn}) {
+        for (const int threads : {1, 2, 4}) {
+          ThreadCountGuard guard(threads);
+          Options opts;
+          opts.layout = layout;
+          opts.atomics = atomics;
+          opts.sparse_fraction = 0.0;  // keep the frontier off the push
+          Engine eng(g, opts);
+          std::vector<double> acc(n, 0.0);
+          std::vector<unsigned char> claimed(n, 0);
+          Frontier f = Frontier::from_vertices(n, verts, &g.csr());
+          const Frontier next = eng.edge_map(
+              f, algorithms::detail::PrDeltaOp{
+                     {}, contrib.data(), acc.data(), claimed.data()});
+          const std::string where =
+              to_string(kind) + " align=" +
+              std::to_string(align) + " atomics=" +
+              (atomics == AtomicsMode::kForceOn ? "on" : "off") +
+              " threads=" + std::to_string(threads);
+          ASSERT_EQ(eng.stats().calls_for(kind), 1u) << where;
+          for (vid_t v = 0; v < n; ++v) {
+            ASSERT_EQ(next.contains(v), receivers[v]) << where << " v=" << v;
+            ASSERT_EQ(claimed[v] != 0, receivers[v]) << where << " v=" << v;
+          }
+          if (atomics == AtomicsMode::kForceOff) {
+            EXPECT_EQ(acc, want) << where;  // bit for bit
+          } else {
+            for (vid_t v = 0; v < n; ++v)
+              ASSERT_NEAR(acc[v], want[v], 1e-12 * (1.0 + want[v]))
+                  << where << " v=" << v;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Kernels, ReferenceCapturingLambdaKeepsStateInEveryKernel) {
+  // All of this operator's state lives outside it, captured by reference,
+  // so the kernels' per-item and per-thread copies must all write the same
+  // sums, flags and edge counter.
+  const auto el = graph::rmat(10, 8, 19);
+  BuildOptions b;
+  b.num_partitions = 16;
+  b.build_partitioned_csr = true;
+  const Graph g = Graph::build(graph::EdgeList(el), b);
+  const vid_t n = g.num_vertices();
+  std::vector<bool> active(n, false);
+  std::vector<vid_t> verts;
+  for (vid_t v = 0; v < n; v += 5) {
+    active[v] = true;
+    verts.push_back(v);
+  }
+  std::vector<std::uint64_t> want_acc;
+  std::vector<bool> want_next;
+  oracle(el, active, want_acc, want_next);
+  eid_t want_applied = 0;
+  for (const Edge& e : el.edges()) want_applied += active[e.src] ? 1 : 0;
+
+  ThreadCountGuard guard(4);
+  for (const auto& [layout, kind] :
+       {std::pair{Layout::kSparseCsr, TraversalKind::kSparseCsr},
+        std::pair{Layout::kBackwardCsc, TraversalKind::kBackwardCsc},
+        std::pair{Layout::kDenseCoo, TraversalKind::kDenseCoo},
+        std::pair{Layout::kPartitionedCsr, TraversalKind::kPartitionedCsr}}) {
+    for (const AtomicsMode atomics :
+         {AtomicsMode::kForceOff, AtomicsMode::kForceOn}) {
+      std::vector<std::uint64_t> acc(n, 0);
+      std::vector<unsigned char> claimed(n, 0);
+      std::atomic<eid_t> applied{0};
+      auto op = make_edge_op(
+          [&](vid_t s, vid_t d, weight_t) {
+            acc[d] += s + 1;
+            applied.fetch_add(1, std::memory_order_relaxed);
+            if (claimed[d] != 0) return false;
+            claimed[d] = 1;
+            return true;
+          },
+          [&](vid_t s, vid_t d, weight_t) {
+            atomic_add(acc[d], static_cast<std::uint64_t>(s) + 1);
+            applied.fetch_add(1, std::memory_order_relaxed);
+            return atomic_claim(claimed[d]);
+          },
+          [](vid_t) { return true; });
+      Options opts;
+      opts.layout = layout;
+      opts.atomics = atomics;
+      opts.sparse_fraction = 0.0;
+      Engine eng(g, opts);
+      Frontier f = Frontier::from_vertices(n, verts, &g.csr());
+      const Frontier next = eng.edge_map(f, op);
+      const std::string where =
+          to_string(kind) +
+          (atomics == AtomicsMode::kForceOn ? " +a" : " +na");
+      ASSERT_EQ(eng.stats().calls_for(kind), 1u) << where;
+      EXPECT_EQ(applied.load(), want_applied) << where;
+      EXPECT_EQ(acc, want_acc) << where;
+      for (vid_t v = 0; v < n; ++v)
+        ASSERT_EQ(next.contains(v), want_next[v]) << where << " v=" << v;
     }
   }
 }

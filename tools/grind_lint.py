@@ -37,6 +37,19 @@ that sit above any single lock:
                            call (atomic when partition boundaries share a
                            bitmap word, Partitioning::word_aligned); a bare
                            plain store races whenever boundary_align < 64.
+  kernel-shared-operator   no per-edge call through the kernel's shared
+                           operator or input bitmap in src/engine/traverse_*
+                           (`op.update(`, `op.update_atomic(`, `op.cond(`,
+                           `in.get(`) — the loops run a private copy of the
+                           operator per work item (or per thread) and read
+                           the input frontier through a hoisted word
+                           pointer.  Through the shared references, the
+                           operator's and the bitmaps' pointers are loaded
+                           on every active edge: loads only some edges
+                           execute are not hoisted, and a claim flag stored
+                           through `unsigned char*` may alias anything
+                           (docs/ENGINE.md, "Kernel inner loops", has the
+                           measured cost).
   thread-state-unpadded    per-thread mutable state in src/engine/ and
                            src/frontier/ lives in the cache-line-padded
                            engine::ThreadSlot — no container of vectors
@@ -381,6 +394,32 @@ def rule_kernel_bare_next_set(path, text):
     ]
 
 
+SHARED_OPERATOR_PATTERNS = [
+    (
+        re.compile(r"(?<![\w.>])op\s*\.\s*(update|update_atomic|cond)\s*\("),
+        "per-edge call through the kernel's shared operator — apply the "
+        "work item's (or thread's) private copy, passed by value or made "
+        "with `Op local = op;`, so the operator's pointers stay in registers "
+        "across its own stores",
+    ),
+    (
+        re.compile(r"(?<![\w.>])in\s*\.\s*get\s*\("),
+        "per-edge read through the shared input Bitmap — hoist "
+        "`in.words()` into a local and read it with test_bit, so an "
+        "operator store cannot force the word pointer to be reloaded",
+    ),
+]
+
+
+def rule_kernel_shared_operator(path, text):
+    out = []
+    for idx, line in enumerate(text.splitlines()):
+        for pat, msg in SHARED_OPERATOR_PATTERNS:
+            if pat.search(line):
+                out.append((idx, msg))
+    return out
+
+
 NESTED_VECTOR_RE = re.compile(
     r"\bstd::(vector|array|deque)\s*<\s*std::vector\s*<"
 )
@@ -547,6 +586,13 @@ RULES = [
         rule_kernel_bare_next_set,
         False,
         "no bare next.set( in src/engine/traverse_* (use with_bit_setter)",
+    ),
+    Rule(
+        "kernel-shared-operator",
+        scope_traverse_kernels,
+        rule_kernel_shared_operator,
+        False,
+        "no op.update(/op.cond(/in.get( per edge in src/engine/traverse_*",
     ),
     Rule(
         "thread-state-unpadded",
@@ -815,6 +861,50 @@ SELF_TESTS = [
         "src/frontier/frontier.cpp",
         "void f() {\n  next.set(v);\n}\n",
         "kernel-bare-next-set",
+        False,
+    ),
+    (
+        "kernel-shared-operator fires on an update through the shared op",
+        "src/engine/traverse_seeded.hpp",
+        "void k(Op& op) {\n"
+        "  for (const Edge& e : es)\n"
+        "    if (op.update(e.src, e.dst, e.weight)) mark(e.dst);\n}\n",
+        "kernel-shared-operator",
+        True,
+    ),
+    (
+        "kernel-shared-operator fires on cond and update_atomic",
+        "src/engine/traverse_seeded.hpp",
+        "void k(Op& op) {\n"
+        "  if (op.cond(d) && op.update_atomic(s, d, w)) mark(d);\n}\n",
+        "kernel-shared-operator",
+        True,
+    ),
+    (
+        "kernel-shared-operator fires on a read through the input Bitmap",
+        "src/engine/traverse_seeded.hpp",
+        "void k(const Bitmap& in) {\n  if (!in.get(s)) return;\n}\n",
+        "kernel-shared-operator",
+        True,
+    ),
+    (
+        "kernel-shared-operator quiet on the private copy and hoisted words",
+        "src/engine/traverse_seeded.hpp",
+        "void k(Op& op, const Bitmap& in) {\n"
+        "  Op local = op;\n"
+        "  const std::uint64_t* in_words = in.words();\n"
+        "  // op.update( through the shared reference reloads per edge\n"
+        "  if (test_bit(in_words, s) && local.cond(d) &&\n"
+        "      local.update(s, d, w)) mark(d);\n"
+        "  if (shared_op.cond(d) || f.in.get(s)) return;\n}\n",
+        "kernel-shared-operator",
+        False,
+    ),
+    (
+        "kernel-shared-operator out of scope outside traverse_*",
+        "src/baselines/seeded.hpp",
+        "void k(Op& op) {\n  if (in.get(s) && op.update(s, d, w)) n++;\n}\n",
+        "kernel-shared-operator",
         False,
     ),
     (
