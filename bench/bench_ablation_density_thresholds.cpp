@@ -2,10 +2,7 @@
 // density thresholds.  The paper fixes 5% (sparse/medium) and 50%
 // (medium/dense) "experimentally"; this bench sweeps both around the chosen
 // values on the frontier-driven workloads, demonstrating that the defaults
-// sit in a robust plateau.  A companion sweep toggles software prefetch in
-// the CSR/CSC hot loops; its machine-readable rows (one JSON object per
-// line) carry the per-algorithm seconds.
-#include <cstdio>
+// sit in a robust plateau.
 #include <iostream>
 
 #include "engine/engine.hpp"
@@ -55,34 +52,8 @@ int main() {
     }
     std::cout << t << '\n';
   }
-  {
-    // Prefetch toggle: the CSR sparse-forward and CSC backward kernels
-    // prefetch upcoming neighbor/offset entries (traverse_csr.hpp,
-    // traverse_csc.hpp); BFS and BF spend most sweeps there.
-    Table t("Ablation: software prefetch in CSR/CSC hot loops — "
-            "Twitter-like");
-    t.header({"prefetch", "BFS [s]", "PRDelta [s]", "BC [s]", "BF [s]"});
-    for (const bool pre : {true, false}) {
-      engine::Options opts;
-      opts.prefetch = pre;
-      std::vector<std::string> row = {pre ? "on" : "off"};
-      for (const char* code : {"BFS", "PRDelta", "BC", "BF"}) {
-        engine::Engine eng(g, opts);
-        const double secs = bench::time_algorithm(code, eng, source, rounds);
-        row.push_back(Table::num(secs, 4));
-        std::printf("{\"bench\":\"ablation_prefetch\",\"prefetch\":%s,"
-                    "\"algo\":\"%s\",\"seconds\":%.4f}\n",
-                    pre ? "true" : "false", code, secs);
-      }
-      t.row(row);
-    }
-    std::fflush(stdout);
-    std::cout << t << '\n';
-  }
   std::cout << "Expected: a shallow optimum around the paper's 5%/50% "
                "defaults; extreme settings degrade by forcing the wrong "
-               "kernel onto mismatched frontier densities; prefetch "
-               "helps most on the sparse/backward kernels' pointer-chasing "
-               "loops.\n";
+               "kernel onto mismatched frontier densities.\n";
   return 0;
 }

@@ -10,10 +10,10 @@
 // relabelings compound with the edge sort because both shrink the working
 // set a partition touches.
 //
-// The sweep is driven through GraphBuilder so that each vertex ordering
-// runs the order+partition+CSR/CSC stages once and only the COO bucket
-// sort is rebuilt per edge order.  One JSON object per (vertex ordering ×
-// edge ordering) pair goes to stdout for the perf trajectory, e.g.:
+// Each (vertex ordering × edge ordering) pair is a fresh Graph::build with
+// BuildOptions::ordering and BuildOptions::coo_order set; the previous
+// point's graph is dropped first.  One JSON object per pair goes to stdout
+// for the perf trajectory, e.g.:
 //   {"bench":"fig7_sort_order","graph":"Twitter","vertex_order":"hilbert",
 //    "edge_order":"source","seconds":{"CC":...},"relative":{"CC":...}}
 // where "relative" normalises to the (original, source) baseline.
@@ -25,7 +25,7 @@
 #include <vector>
 
 #include "engine/engine.hpp"
-#include "graph/builder.hpp"
+#include "graph/graph.hpp"
 #include "runners.hpp"
 #include "suite.hpp"
 #include "sys/table.hpp"
@@ -51,14 +51,12 @@ void report(const std::string& graph_name) {
   vid_t source = kInvalidVertex;
 
   for (const auto vo : graph::all_orderings()) {
-    graph::BuildOptions b;
-    b.num_partitions = 384;
-    b.ordering = vo;
-    graph::GraphBuilder builder(graph::EdgeList(el), b);
-    builder.order().partition();
     for (int eo = 0; eo < 3; ++eo) {
-      builder.with_coo_order(kEdgeOrders[eo]);
-      const graph::Graph g = builder.build();  // lvalue: stages stay cached
+      graph::BuildOptions b;
+      b.num_partitions = 384;
+      b.ordering = vo;
+      b.coo_order = kEdgeOrders[eo];
+      const graph::Graph g = graph::Graph::build(graph::EdgeList(el), b);
       if (source == kInvalidVertex)
         source = bench::max_out_degree_vertex(g);  // original-ID space
 

@@ -9,13 +9,6 @@ namespace grind::algorithms {
 template BcResult betweenness_centrality<engine::Engine>(engine::Engine&,
                                                          vid_t);
 
-BcResult betweenness_centrality(const graph::Graph& g,
-                                engine::TraversalWorkspace& ws, vid_t source,
-                                const engine::Options& opts) {
-  engine::Engine eng(g, opts, ws);
-  return betweenness_centrality(eng, source);
-}
-
 namespace {
 
 AlgorithmDesc make_bc_desc() {

@@ -145,11 +145,4 @@ BcResult betweenness_centrality(Eng& eng, vid_t source) {
   return r;
 }
 
-/// Re-entrant entry point: the same computation on a caller-owned
-/// workspace instead of an engine-owned slot; safe for concurrent use on
-/// one shared immutable Graph with one distinct workspace per call.
-BcResult betweenness_centrality(const graph::Graph& g,
-                                engine::TraversalWorkspace& ws, vid_t source,
-                                const engine::Options& opts = {});
-
 }  // namespace grind::algorithms

@@ -9,14 +9,6 @@ namespace grind::algorithms {
 template BeliefPropagationResult belief_propagation<engine::Engine>(
     engine::Engine&, BeliefPropagationOptions);
 
-BeliefPropagationResult belief_propagation(const graph::Graph& g,
-                                           engine::TraversalWorkspace& ws,
-                                           BeliefPropagationOptions popts,
-                                           const engine::Options& opts) {
-  engine::Engine eng(g, opts, ws);
-  return belief_propagation(eng, popts);
-}
-
 namespace {
 
 BeliefPropagationOptions bp_options(const Params& p) {

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "engine/operators.hpp"
-#include "engine/options.hpp"
 #include "frontier/frontier.hpp"
 #include "sys/atomics.hpp"
 #include "sys/parallel.hpp"
@@ -133,13 +132,5 @@ BeliefPropagationResult belief_propagation(Eng& eng,
   r.belief0 = remap.values_to_original(std::move(r.belief0));
   return r;
 }
-
-/// Re-entrant entry point: the same computation on a caller-owned
-/// workspace instead of an engine-owned slot; safe for concurrent use on
-/// one shared immutable Graph with one distinct workspace per call.
-BeliefPropagationResult belief_propagation(
-    const graph::Graph& g, engine::TraversalWorkspace& ws,
-    BeliefPropagationOptions popts = {},
-    const engine::Options& opts = {});
 
 }  // namespace grind::algorithms

@@ -9,13 +9,6 @@ namespace grind::algorithms {
 template BellmanFordResult bellman_ford<engine::Engine>(engine::Engine&,
                                                         vid_t);
 
-BellmanFordResult bellman_ford(const graph::Graph& g,
-                               engine::TraversalWorkspace& ws, vid_t source,
-                               const engine::Options& opts) {
-  engine::Engine eng(g, opts, ws);
-  return bellman_ford(eng, source);
-}
-
 namespace {
 
 AlgorithmDesc make_bf_desc() {

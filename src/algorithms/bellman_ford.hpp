@@ -93,11 +93,4 @@ BellmanFordResult bellman_ford(Eng& eng, vid_t source) {
   return r;
 }
 
-/// Re-entrant entry point: the same computation on a caller-owned
-/// workspace instead of an engine-owned slot; safe for concurrent use on
-/// one shared immutable Graph with one distinct workspace per call.
-BellmanFordResult bellman_ford(const graph::Graph& g,
-                               engine::TraversalWorkspace& ws, vid_t source,
-                               const engine::Options& opts = {});
-
 }  // namespace grind::algorithms

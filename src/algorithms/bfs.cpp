@@ -10,12 +10,6 @@ namespace grind::algorithms {
 
 template BfsResult bfs<engine::Engine>(engine::Engine&, vid_t);
 
-BfsResult bfs(const graph::Graph& g, engine::TraversalWorkspace& ws,
-              vid_t source, const engine::Options& opts) {
-  engine::Engine eng(g, opts, ws);
-  return bfs(eng, source);
-}
-
 namespace {
 
 AlgorithmDesc make_bfs_desc() {

@@ -104,12 +104,4 @@ BfsResult bfs(Eng& eng, vid_t source) {
   return r;
 }
 
-/// Re-entrant entry point: the same computation, but all traversal scratch
-/// comes from the caller-owned `ws` instead of an engine-owned slot.  Safe
-/// to call concurrently from many threads against one shared immutable
-/// Graph as long as every concurrent call uses a distinct workspace
-/// (service::GraphService checks one out of its WorkspacePool per query).
-BfsResult bfs(const graph::Graph& g, engine::TraversalWorkspace& ws,
-              vid_t source, const engine::Options& opts = {});
-
 }  // namespace grind::algorithms

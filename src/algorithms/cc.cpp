@@ -8,13 +8,6 @@ namespace grind::algorithms {
 
 template CcResult connected_components<engine::Engine>(engine::Engine&);
 
-CcResult connected_components(const graph::Graph& g,
-                              engine::TraversalWorkspace& ws,
-                              const engine::Options& opts) {
-  engine::Engine eng(g, opts, ws);
-  return connected_components(eng);
-}
-
 namespace {
 
 AlgorithmDesc make_cc_desc() {

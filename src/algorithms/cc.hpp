@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "engine/operators.hpp"
-#include "engine/options.hpp"
 #include "engine/vertex_map.hpp"
 #include "frontier/frontier.hpp"
 #include "sys/atomics.hpp"
@@ -113,12 +112,5 @@ CcResult connected_components(Eng& eng) {
   }
   return r;
 }
-
-/// Re-entrant entry point: the same computation on a caller-owned
-/// workspace instead of an engine-owned slot; safe for concurrent use on
-/// one shared immutable Graph with one distinct workspace per call.
-CcResult connected_components(const graph::Graph& g,
-                              engine::TraversalWorkspace& ws,
-                              const engine::Options& opts = {});
 
 }  // namespace grind::algorithms

@@ -10,12 +10,6 @@ namespace grind::algorithms {
 
 template KcoreResult kcore<engine::Engine>(engine::Engine&);
 
-KcoreResult kcore(const graph::Graph& g, engine::TraversalWorkspace& ws,
-                  const engine::Options& opts) {
-  engine::Engine eng(g, opts, ws);
-  return kcore(eng);
-}
-
 namespace {
 
 /// Serial peeling oracle on the raw edge list, with the same total-degree

@@ -149,10 +149,4 @@ KcoreResult kcore(Eng& eng) {
   return r;
 }
 
-/// Re-entrant entry point: the same computation on a caller-owned
-/// workspace instead of an engine-owned slot; safe for concurrent use on
-/// one shared immutable Graph with one distinct workspace per call.
-KcoreResult kcore(const graph::Graph& g, engine::TraversalWorkspace& ws,
-                  const engine::Options& opts = {});
-
 }  // namespace grind::algorithms

@@ -9,12 +9,6 @@ namespace grind::algorithms {
 template PageRankResult pagerank<engine::Engine>(engine::Engine&,
                                                  PageRankOptions);
 
-PageRankResult pagerank(const graph::Graph& g, engine::TraversalWorkspace& ws,
-                        PageRankOptions popts, const engine::Options& opts) {
-  engine::Engine eng(g, opts, ws);
-  return pagerank(eng, popts);
-}
-
 namespace {
 
 PageRankOptions pr_options(const Params& p) {

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "engine/operators.hpp"
-#include "engine/options.hpp"
 #include "frontier/frontier.hpp"
 #include "sys/atomics.hpp"
 #include "sys/parallel.hpp"
@@ -91,12 +90,5 @@ PageRankResult pagerank(Eng& eng, PageRankOptions opts = {}) {
   r.rank = g.remap().values_to_original(std::move(r.rank));
   return r;
 }
-
-/// Re-entrant entry point: the same computation on a caller-owned
-/// workspace instead of an engine-owned slot; safe for concurrent use on
-/// one shared immutable Graph with one distinct workspace per call.
-PageRankResult pagerank(const graph::Graph& g, engine::TraversalWorkspace& ws,
-                        PageRankOptions popts = {},
-                        const engine::Options& opts = {});
 
 }  // namespace grind::algorithms

@@ -9,14 +9,6 @@ namespace grind::algorithms {
 template PageRankDeltaResult pagerank_delta<engine::Engine>(
     engine::Engine&, PageRankDeltaOptions);
 
-PageRankDeltaResult pagerank_delta(const graph::Graph& g,
-                                   engine::TraversalWorkspace& ws,
-                                   PageRankDeltaOptions popts,
-                                   const engine::Options& opts) {
-  engine::Engine eng(g, opts, ws);
-  return pagerank_delta(eng, popts);
-}
-
 namespace {
 
 PageRankDeltaOptions prdelta_options(const Params& p) {

@@ -135,12 +135,4 @@ PageRankDeltaResult pagerank_delta(Eng& eng, PageRankDeltaOptions opts = {}) {
   return r;
 }
 
-/// Re-entrant entry point: the same computation on a caller-owned
-/// workspace instead of an engine-owned slot; safe for concurrent use on
-/// one shared immutable Graph with one distinct workspace per call.
-PageRankDeltaResult pagerank_delta(const graph::Graph& g,
-                                   engine::TraversalWorkspace& ws,
-                                   PageRankDeltaOptions popts = {},
-                                   const engine::Options& opts = {});
-
 }  // namespace grind::algorithms

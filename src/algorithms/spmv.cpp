@@ -9,12 +9,6 @@ namespace grind::algorithms {
 template SpmvResult spmv<engine::Engine>(engine::Engine&,
                                          const std::vector<double>&);
 
-SpmvResult spmv(const graph::Graph& g, engine::TraversalWorkspace& ws,
-                const std::vector<double>& x, const engine::Options& opts) {
-  engine::Engine eng(g, opts, ws);
-  return spmv(eng, x);
-}
-
 namespace {
 
 AlgorithmDesc make_spmv_desc() {

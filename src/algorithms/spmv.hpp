@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "engine/operators.hpp"
-#include "engine/options.hpp"
 #include "frontier/frontier.hpp"
 #include "sys/atomics.hpp"
 #include "sys/types.hpp"
@@ -62,12 +61,5 @@ SpmvResult spmv(Eng& eng, const std::vector<double>& x = {}) {
   r.y = g.remap().values_to_original(std::move(r.y));
   return r;
 }
-
-/// Re-entrant entry point: the same computation on a caller-owned
-/// workspace instead of an engine-owned slot; safe for concurrent use on
-/// one shared immutable Graph with one distinct workspace per call.
-SpmvResult spmv(const graph::Graph& g, engine::TraversalWorkspace& ws,
-                const std::vector<double>& x = {},
-                const engine::Options& opts = {});
 
 }  // namespace grind::algorithms

@@ -137,16 +137,15 @@ Frontier edge_map(const graph::Graph& g, Frontier& f, Op op,
   AffineCounts affinity;  // home/stolen split of the partition schedulers
   switch (kind) {
     case TraversalKind::kSparseCsr:
-      out = traverse_csr_sparse<D>(g, f, op, &edges, ws, opts.prefetch);
+      out = traverse_csr_sparse<D>(g, f, op, &edges, ws, /*prefetch=*/true);
       used_atomics = true;  // the sparse push inherently uses update_atomic
       break;
     case TraversalKind::kBackwardCsc: {
-      const auto& ranges =
-          opts.csc_balance == partition::BalanceMode::kVertices
-              ? g.partitioning_vertices()
-              : g.partitioning_edges();
+      const auto& ranges = opts.orientation == Orientation::kVertex
+                               ? g.partitioning_vertices()
+                               : g.partitioning_edges();
       out = traverse_csc_backward<D>(g, f, op, ranges, &edges, ws, &affinity,
-                                     token, opts.prefetch);
+                                     token, /*prefetch=*/true);
       used_atomics = false;  // backward is single-writer by construction
       break;
     }

@@ -74,16 +74,10 @@ class Engine {
   /// just before overwriting it with the new one.
   void recycle(Frontier& f) { f.into_workspace(workspace()); }
 
-  /// Declare the running algorithm's orientation (§III-D); maps to the CSC
-  /// computation-range balance criterion.
-  void set_orientation(Orientation o) {
-    orientation_ = o;
-    opts_.orientation = o;
-    opts_.csc_balance = o == Orientation::kVertex
-                            ? partition::BalanceMode::kVertices
-                            : partition::BalanceMode::kEdges;
-  }
-  [[nodiscard]] Orientation orientation() const { return orientation_; }
+  /// Declare the running algorithm's orientation (§III-D); it routes dense
+  /// frontiers and picks the CSC computation-range balance criterion.
+  void set_orientation(Orientation o) { opts_.orientation = o; }
+  [[nodiscard]] Orientation orientation() const { return opts_.orientation; }
 
   /// Filtered vertex map over the active vertices.
   template <typename Fn>
@@ -119,7 +113,6 @@ class Engine {
   Options opts_;
   TraversalStats stats_;
   int sweeps_done_ = 0;
-  Orientation orientation_ = Orientation::kEdge;
   TraversalWorkspace* external_ws_ = nullptr;
   std::unique_ptr<TraversalWorkspace> owned_ws_;
 };

@@ -5,7 +5,6 @@
 #include <memory>
 #include <string>
 
-#include "partition/partitioner.hpp"
 #include "sys/cancel.hpp"
 #include "sys/types.hpp"
 
@@ -57,21 +56,15 @@ struct Options {
   double sparse_fraction = 0.05;  // |E|/20
   double dense_fraction = 0.50;   // |E|/2
 
-  /// Software prefetch in the CSR sparse-forward and CSC backward inner
-  /// loops (__builtin_prefetch of upcoming neighbor/offset entries).  A
-  /// knob rather than a constant so the ablation bench can measure it.
-  bool prefetch = true;
-
-  /// Balance criterion for the CSC computation range (§III-D): edge-oriented
-  /// algorithms balance edges, vertex-oriented ones balance vertices.
-  partition::BalanceMode csc_balance = partition::BalanceMode::kEdges;
-
   /// The running algorithm's orientation.  §IV-A: "Vertex-oriented
   /// algorithms perform best when using the CSC layout, while edge-oriented
   /// algorithms perform best using the COO layout" — in kAuto mode, dense
   /// frontiers of vertex-oriented algorithms are routed to the backward CSC
   /// (whose per-destination early exit suits claim-style operators) instead
-  /// of the COO.
+  /// of the COO.  It also picks the CSC computation range's balance
+  /// criterion (§III-D): vertex-oriented algorithms split the backward
+  /// gather over the vertex-balanced partitioning, edge-oriented ones over
+  /// the edge-balanced one.
   Orientation orientation = Orientation::kEdge;
 
   /// Cooperative cancellation token, polled at every edge_map boundary and

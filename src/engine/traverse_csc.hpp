@@ -41,13 +41,6 @@ inline int csc_chunk_domain(const partition::Partitioning& storage_parts,
                                   storage_parts.num_partitions());
 }
 
-/// The partitioning's ranges split into word-aligned sub-chunks — now a
-/// build-time-cached property of the Partitioning itself.
-inline const std::vector<VertexRange>& csc_sub_chunks(
-    const partition::Partitioning& ranges) {
-  return ranges.sub_chunks();
-}
-
 /// Lookahead distance (in edges) of the backward gather's frontier-word
 /// prefetch: the inner loop's demand miss is the source's frontier bit —
 /// one random bitmap word per in-edge — so the word of the source

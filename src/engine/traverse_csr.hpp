@@ -33,11 +33,11 @@ inline constexpr std::size_t kCsrPrefetchDist = 16;
 
 /// Direction D picks the push index (engine/direction.hpp): forward pushes
 /// along CSR out-edges, transposed along CSC in-edges.  `prefetch`, when
-/// set (Options::prefetch via edge_map), issues __builtin_prefetch for the
-/// *next* active source's row bounds in the outer loop and for upcoming
-/// target entries in the inner loop — the two demand-miss streams of the
-/// sparse push: row starts are random (sparse list order) and the target
-/// array is only sequential within a row.
+/// set (edge_map always sets it; the baseline engines do not), issues
+/// __builtin_prefetch for the *next* active source's row bounds in the
+/// outer loop and for upcoming target entries in the inner loop — the two
+/// demand-miss streams of the sparse push: row starts are random (sparse
+/// list order) and the target array is only sequential within a row.
 template <Direction D = Direction::kForward, EdgeOperator Op>
 Frontier traverse_csr_sparse(const graph::Graph& g, Frontier& f, Op& op,
                              eid_t* edges_examined, TraversalWorkspace& ws,

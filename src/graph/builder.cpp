@@ -40,95 +40,13 @@ void place_csr_domains(const Csr& csr, const partition::Partitioning& parts,
 }  // namespace
 
 GraphBuilder::GraphBuilder(EdgeList el, BuildOptions opts)
-    : el_(std::move(el)),
-      opts_(opts),
-      requested_partitions_(opts.num_partitions),
-      requested_ppart_(opts.partitioner_params),
-      numa_(opts.numa_domains) {}
-
-void GraphBuilder::reset_relabel() {
-  // order()/assign() permute el_ in place; before a new relabeling can be
-  // computed the edge list must be restored to original IDs — otherwise
-  // the next run would relabel an already-relabeled list and the remap
-  // would no longer map the caller's ID space.  remap_ is the *composed*
-  // (ordering ∘ assignment) bijection, so one undo covers both stages.
-  if (order_done_ && !remap_.is_identity()) {
-    el_ = apply_vertex_remap(el_, remap_, RemapDirection::kToOriginal);
-    remap_ = VertexRemap();
-  }
-  assign_identity_ = true;
-  order_done_ = assign_done_ = partition_done_ = index_done_ = coo_done_ =
-      pcsr_done_ = false;
-}
-
-GraphBuilder& GraphBuilder::with_ordering(VertexOrdering o) {
-  if (opts_.ordering != o) {
-    opts_.ordering = o;
-    reset_relabel();
-  }
-  return *this;
-}
-
-GraphBuilder& GraphBuilder::with_partitions(part_t p) {
-  if (requested_partitions_ != p) {
-    requested_partitions_ = p;
-    opts_.num_partitions = p;
-    if (assign_done_ && !assign_identity_) {
-      // The folded-in assignment permutation depends on P; unwind it so
-      // the strategy can re-run against the freshly ordered edge list.
-      reset_relabel();
-    } else {
-      assign_done_ = partition_done_ = coo_done_ = pcsr_done_ = false;
-      // The CSR/CSC arrays themselves survive a partition change, but
-      // their page placement follows partition boundaries and must be
-      // redone.
-      index_placed_ = false;
-    }
-  }
-  return *this;
-}
-
-GraphBuilder& GraphBuilder::with_partitioner(std::string name,
-                                             algorithms::Params params) {
-  // Params carries no operator==; the canonical fingerprint (stable,
-  // bit-exact — params.hpp) is the equality the result cache already
-  // trusts, so reuse it for change detection.
-  const bool same =
-      opts_.partitioner == name &&
-      algorithms::canonical_fingerprint(requested_ppart_) ==
-          algorithms::canonical_fingerprint(params);
-  if (!same) {
-    opts_.partitioner = std::move(name);
-    requested_ppart_ = std::move(params);
-    opts_.partitioner_params = requested_ppart_;
-    if (assign_done_ && !assign_identity_) {
-      reset_relabel();
-    } else {
-      assign_done_ = partition_done_ = coo_done_ = pcsr_done_ = false;
-      index_placed_ = false;
-    }
-  }
-  return *this;
-}
-
-GraphBuilder& GraphBuilder::with_coo_order(partition::EdgeOrder o) {
-  if (opts_.coo_order != o) {
-    opts_.coo_order = o;
-    coo_done_ = false;
-  }
-  return *this;
-}
-
-GraphBuilder& GraphBuilder::with_partitioned_csr(bool on) {
-  opts_.build_partitioned_csr = on;
-  return *this;
-}
+    : el_(std::move(el)), opts_(std::move(opts)), numa_(opts_.numa_domains) {}
 
 GraphBuilder& GraphBuilder::order() {
-  if (order_done_) return *this;
+  if (stage_ >= Stage::kOrdered) return *this;
   remap_ = make_vertex_remap(el_, opts_.ordering);
   if (!remap_.is_identity()) el_ = apply_vertex_remap(el_, remap_);
-  order_done_ = true;
+  stage_ = Stage::kOrdered;
   return *this;
 }
 
@@ -137,7 +55,7 @@ void GraphBuilder::resolve_partition_count() {
   // capped so that (a) alignment stays non-degenerate (each partition ≥ one
   // bitmap word of vertices) and (b) partitions hold enough edges that
   // per-partition scheduling overhead does not dominate on small graphs.
-  part_t p = requested_partitions_;
+  part_t p = opts_.num_partitions;
   if (p == 0) {
     const vid_t align = std::max<vid_t>(opts_.boundary_align, 1);
     const part_t max_by_align =
@@ -154,12 +72,14 @@ void GraphBuilder::resolve_partition_count() {
 
 GraphBuilder& GraphBuilder::assign() {
   order();
-  if (assign_done_) return *this;
+  if (stage_ >= Stage::kAssigned) return *this;
   resolve_partition_count();
 
   const partition::PartitionerDesc& desc =
       partition::PartitionerRegistry::instance().at(opts_.partitioner);
-  const algorithms::Params resolved = desc.resolve(requested_ppart_);
+  // Like num_partitions, the options the Graph carries hold the resolved
+  // bag so stats/reports show the defaults the strategy actually saw.
+  opts_.partitioner_params = desc.resolve(opts_.partitioner_params);
 
   partition::PartitionOptions popts;
   popts.by = partition::PartitionBy::kDestination;
@@ -167,33 +87,26 @@ GraphBuilder& GraphBuilder::assign() {
   popts.boundary_align = opts_.boundary_align;
 
   const std::vector<part_t> assignment =
-      desc.run(el_, opts_.num_partitions, popts, resolved);
+      desc.run(el_, opts_.num_partitions, popts, opts_.partitioner_params);
   partition::AssignmentPlan plan = partition::plan_assignment(
       assignment, opts_.num_partitions, opts_.boundary_align);
 
-  assign_identity_ = plan.remap.is_identity();
-  if (!assign_identity_) {
+  if (!plan.remap.is_identity()) {
     el_ = apply_vertex_remap(el_, plan.remap);
     // Compose: final internal ← assignment sort ← ordering ← original.
     std::vector<vid_t> to_original(el_.num_vertices());
     for (vid_t i = 0; i < el_.num_vertices(); ++i)
       to_original[i] = remap_.to_original(plan.remap.to_original(i));
     remap_ = VertexRemap::from_internal_order(std::move(to_original));
-    // el_ was just re-permuted; any layout built over the old numbering
-    // is stale even if its done-flag survived a cheap setter path.
-    index_done_ = coo_done_ = pcsr_done_ = false;
   }
   assign_ranges_ = std::move(plan.ranges);
-  // Like num_partitions, the options the Graph carries hold the resolved
-  // bag so stats/reports show the defaults the strategy actually saw.
-  opts_.partitioner_params = resolved;
-  assign_done_ = true;
+  stage_ = Stage::kAssigned;
   return *this;
 }
 
 GraphBuilder& GraphBuilder::partition() {
   assign();
-  if (partition_done_) return *this;
+  if (stage_ >= Stage::kPartitioned) return *this;
 
   partition::PartitionOptions popts;
   popts.by = partition::PartitionBy::kDestination;
@@ -217,43 +130,26 @@ GraphBuilder& GraphBuilder::partition() {
   popts.balance = partition::BalanceMode::kVertices;
   part_vertices_ =
       partition::make_partitioning(el_, opts_.num_partitions, popts);
-  partition_done_ = true;
+  stage_ = Stage::kPartitioned;
   return *this;
 }
 
 GraphBuilder& GraphBuilder::layouts() {
   partition();
-  if (!index_done_) {
-    csr_ = Csr::build(el_, Adjacency::kOut);
-    csc_ = csr_.transpose();
-    index_done_ = true;
-    index_placed_ = false;
-  }
-  if (!index_placed_) {
-    // Row slices follow the edge-balanced partitioning: the CSC computation
-    // range and the COO buckets both live on it, so its domains are the
-    // ones whose threads touch these pages.  Placement is tracked
-    // separately from index_done_ — with_partitions() keeps the index but
-    // moves the boundaries, which must re-place the pages.
-    place_csr_domains(csr_, part_edges_, numa_);
-    place_csr_domains(csc_, part_edges_, numa_);
-    index_placed_ = true;
-  }
-  if (!coo_done_) {
-    coo_ = partition::PartitionedCoo::build(csr_, csc_, part_edges_,
-                                            opts_.coo_order, &numa_);
-    coo_done_ = true;
-  }
-  if (opts_.build_partitioned_csr) {
-    if (!pcsr_done_) {
-      pcsr_ = std::make_unique<partition::PartitionedCsr>(
-          partition::PartitionedCsr::build(el_, part_edges_, &numa_));
-      pcsr_done_ = true;
-    }
-  } else {
-    pcsr_.reset();
-    pcsr_done_ = false;
-  }
+  if (stage_ >= Stage::kLaidOut) return *this;
+  csr_ = Csr::build(el_, Adjacency::kOut);
+  csc_ = csr_.transpose();
+  // Row slices follow the edge-balanced partitioning: the CSC computation
+  // range and the COO buckets both live on it, so its domains are the
+  // ones whose threads touch these pages.
+  place_csr_domains(csr_, part_edges_, numa_);
+  place_csr_domains(csc_, part_edges_, numa_);
+  coo_ = partition::PartitionedCoo::build(csr_, csc_, part_edges_,
+                                          opts_.coo_order, &numa_);
+  if (opts_.build_partitioned_csr)
+    pcsr_ = std::make_unique<partition::PartitionedCsr>(
+        partition::PartitionedCsr::build(el_, part_edges_, &numa_));
+  stage_ = Stage::kLaidOut;
   return *this;
 }
 
@@ -264,29 +160,6 @@ const partition::Partitioning& GraphBuilder::partitioning_edges() {
 }
 const partition::Partitioning& GraphBuilder::partitioning_vertices() {
   return partition().part_vertices_;
-}
-
-Graph GraphBuilder::build() & {
-  layouts();
-  Graph g;
-  g.el_ = el_;
-  g.opts_ = opts_;
-  g.remap_ = remap_;
-  g.csr_ = csr_;
-  g.csc_ = csc_;
-  g.part_edges_ = part_edges_;
-  g.part_vertices_ = part_vertices_;
-  g.coo_ = coo_;
-  if (pcsr_) g.pcsr_ = std::make_unique<partition::PartitionedCsr>(*pcsr_);
-  g.numa_ = numa_;
-  // The copies above sit in fresh buffers the builder's page placement did
-  // not follow; re-bind them so a graph from the reusable lvalue path is
-  // placed like one from the moving path.  (The pruned CSR needs no help:
-  // its DomainVectors copy through their domain's allocator.)
-  g.coo_.bind_domains(numa_);
-  place_csr_domains(g.csr_, g.part_edges_, numa_);
-  place_csr_domains(g.csc_, g.part_edges_, numa_);
-  return g;
 }
 
 Graph GraphBuilder::build() && {

@@ -8,8 +8,8 @@ namespace grind::graph {
 
 Graph Graph::build(EdgeList el, BuildOptions opts) {
   // Monolithic entry point kept for the common case; the staged pipeline
-  // (and its partial-rebuild caching) lives in GraphBuilder.
-  return GraphBuilder(std::move(el), opts).build();
+  // lives in GraphBuilder.
+  return GraphBuilder(std::move(el), std::move(opts)).build();
 }
 
 vid_t Graph::max_out_degree_source() const {

@@ -85,12 +85,6 @@ class PartitionedCoo {
   /// All edges, partition-major.
   [[nodiscard]] std::span<const Edge> all_edges() const { return edges_; }
 
-  /// (Re-)bind each partition's slice of the edge array to its owning
-  /// domain's arena.  build() does this when given a NumaModel; callers
-  /// that *copy* a layout (GraphBuilder's reusable lvalue build) call it
-  /// again on the copy, whose fresh buffers the placement did not follow.
-  void bind_domains(const NumaModel& numa) const;
-
   [[nodiscard]] std::span<const eid_t> offsets() const { return offsets_; }
 
   /// The atomics-mode work list: every partition's edge range split into
@@ -106,6 +100,10 @@ class PartitionedCoo {
   }
 
  private:
+  /// Bind each partition's slice of the edge array to its owning domain's
+  /// arena (build() does this when given a NumaModel).
+  void bind_domains(const NumaModel& numa) const;
+
   EdgeOrder order_ = EdgeOrder::kSource;
   std::vector<eid_t> offsets_;    // P+1
   std::vector<Edge> edges_;       // |E|, partition-major

@@ -27,7 +27,8 @@ KcoreResult run_kcore(const graph::EdgeList& el,
                       engine::Options eopts = {}) {
   const graph::Graph g = graph::Graph::build(graph::EdgeList(el), bopts);
   engine::TraversalWorkspace ws;
-  return kcore(g, ws, eopts);
+  engine::Engine eng(g, eopts, ws);
+  return kcore(eng);
 }
 
 TEST(Kcore, EmptyGraph) {

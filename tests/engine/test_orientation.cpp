@@ -2,12 +2,40 @@
 // algorithms stay on the backward CSC; edge-oriented ones go to the COO.
 #include <gtest/gtest.h>
 
+#include "algorithms/bc.hpp"
+#include "algorithms/bellman_ford.hpp"
+#include "algorithms/bfs.hpp"
+#include "algorithms/kcore.hpp"
 #include "engine/edge_map.hpp"
 #include "engine/engine.hpp"
 #include "graph/generators.hpp"
 
 namespace grind::engine {
 namespace {
+
+/// A graph whose edge- and vertex-balanced partitionings split into
+/// different numbers of CSC sub-chunks, so a backward sweep's chunk count
+/// tells which of the two it ran over.
+graph::Graph two_balance_graph() {
+  graph::BuildOptions bopts;
+  bopts.num_partitions = 8;
+  return graph::Graph::build(graph::rmat(12, 8, 3), bopts);
+}
+
+/// Chunks one forced backward-CSC sweep over the full frontier ran.
+std::uint64_t backward_sweep_chunks(Engine& eng) {
+  const Layout saved = eng.options().layout;
+  eng.options().layout = Layout::kBackwardCsc;
+  eng.reset_stats();
+  auto op = make_symmetric_op([](vid_t, vid_t, weight_t) { return false; },
+                              [](vid_t) { return true; });
+  const graph::Graph& g = eng.graph();
+  Frontier all = Frontier::all(g.num_vertices(), &g.csr());
+  eng.edge_map(all, op);
+  eng.options().layout = saved;
+  const AffineCounts& a = eng.stats().affinity;
+  return a.home_items + a.stolen_items;
+}
 
 TEST(Orientation, DenseRoutingFollowsOrientation) {
   const eid_t m = 2000;
@@ -29,15 +57,44 @@ TEST(Orientation, MediumAndSparseUnaffected) {
 }
 
 TEST(Orientation, EngineSetterUpdatesBalanceAndRouting) {
-  const auto g = graph::Graph::build(graph::rmat(9, 8, 3));
+  const auto g = two_balance_graph();
+  const std::size_t by_edges = g.partitioning_edges().sub_chunks().size();
+  const std::size_t by_vertices =
+      g.partitioning_vertices().sub_chunks().size();
+  ASSERT_NE(by_edges, by_vertices);
   Engine eng(g);
   EXPECT_EQ(eng.orientation(), Orientation::kEdge);
+  EXPECT_EQ(backward_sweep_chunks(eng), by_edges);
   eng.set_orientation(Orientation::kVertex);
   EXPECT_EQ(eng.orientation(), Orientation::kVertex);
   EXPECT_EQ(eng.options().orientation, Orientation::kVertex);
-  EXPECT_EQ(eng.options().csc_balance, partition::BalanceMode::kVertices);
+  EXPECT_EQ(backward_sweep_chunks(eng), by_vertices);
   eng.set_orientation(Orientation::kEdge);
-  EXPECT_EQ(eng.options().csc_balance, partition::BalanceMode::kEdges);
+  EXPECT_EQ(backward_sweep_chunks(eng), by_edges);
+}
+
+TEST(Orientation, VertexOrientedOptionsSurviveVertexOrientedAlgorithms) {
+  // An engine configured vertex-oriented through its Options reports that
+  // orientation, balances the backward sweep by vertices, and keeps both
+  // after the algorithms that switch orientation for their run and
+  // restore it on exit.
+  const auto g = two_balance_graph();
+  const std::size_t by_vertices =
+      g.partitioning_vertices().sub_chunks().size();
+  Options opts;
+  opts.orientation = Orientation::kVertex;
+  Engine eng(g, opts);
+  EXPECT_EQ(eng.orientation(), Orientation::kVertex);
+  EXPECT_EQ(backward_sweep_chunks(eng), by_vertices);
+  algorithms::bfs(eng, 0);
+  EXPECT_EQ(eng.orientation(), Orientation::kVertex);
+  algorithms::betweenness_centrality(eng, 0);
+  EXPECT_EQ(eng.orientation(), Orientation::kVertex);
+  algorithms::bellman_ford(eng, 0);
+  EXPECT_EQ(eng.orientation(), Orientation::kVertex);
+  algorithms::kcore(eng);
+  EXPECT_EQ(eng.options().orientation, Orientation::kVertex);
+  EXPECT_EQ(backward_sweep_chunks(eng), by_vertices);
 }
 
 TEST(Orientation, VertexOrientedDenseRoundUsesCscKernel) {
@@ -57,7 +114,7 @@ TEST(Orientation, VertexOrientedDenseRoundUsesCscKernel) {
 TEST(Orientation, CscSubChunksCoverRangesAndAlign) {
   const auto el = graph::rmat(10, 8, 3);
   const auto parts = partition::make_partitioning(el, 8);
-  const auto chunks = csc_sub_chunks(parts);
+  const auto& chunks = parts.sub_chunks();
   // Coverage: concatenation of chunks == concatenation of ranges.
   vid_t cursor = 0;
   for (const auto& c : chunks) {

@@ -274,8 +274,9 @@ TEST(DifferentialFuzz, DomainCountNeverChangesAlgorithmOutputs) {
       bopts.numa_domains = domains;
       const graph::Graph g = graph::Graph::build(graph::EdgeList(el), bopts);
       engine::TraversalWorkspace ws;
-      const auto levels = bfs(g, ws, source).level;
-      const auto rank = pagerank(g, ws, {}).rank;
+      engine::Engine eng(g, {}, ws);
+      const auto levels = bfs(eng, source).level;
+      const auto rank = pagerank(eng).rank;
       if (domains == 1) {
         base_levels = levels;
         base_rank = rank;

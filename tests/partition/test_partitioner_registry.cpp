@@ -234,27 +234,5 @@ TEST(PartitionerBuilder, UnknownStrategyAndBadParamsSurfaceAtAssign) {
   }
 }
 
-TEST(PartitionerBuilder, SwitchingStrategyRebuildsAndRestoresBaseline) {
-  // Reconfiguring a builder back to contiguous must unwind the previous
-  // strategy's permutation (reset_relabel), not stack a second one.
-  const EdgeList el = graph::rmat(8, 8, 5);
-  graph::BuildOptions bopts;
-  bopts.num_partitions = 4;
-  graph::GraphBuilder b(EdgeList(el), bopts);
-
-  b.with_partitioner("random");
-  b.partition();
-  EXPECT_FALSE(b.remap().is_identity());
-
-  b.with_partitioner(kContiguousPartitioner);
-  b.partition();
-  EXPECT_TRUE(b.remap().is_identity());
-  const Partitioning direct = make_partitioning(el, 4);
-  for (part_t p = 0; p < 4; ++p) {
-    EXPECT_EQ(b.partitioning_edges().range(p), direct.range(p));
-    EXPECT_EQ(b.partitioning_edges().edges_in(p), direct.edges_in(p));
-  }
-}
-
 }  // namespace
 }  // namespace grind::partition
