@@ -2,8 +2,9 @@
 // layout build and substrate primitives — the per-edge costs behind every
 // figure — plus a counting-allocator audit proving that steady-state
 // edge_map iterations (iteration ≥ 2 of PageRank / the second BFS run on a
-// warm engine / round ≥ 2 of PageRank-delta, edge_map plus vertex_map)
-// perform zero heap allocations when driven through a TraversalWorkspace.
+// warm engine / round ≥ 2 of PageRank-delta, edge_map plus vertex_map /
+// every round of a warm BFS through the bare sparse push) perform zero heap
+// allocations when driven through a TraversalWorkspace.
 //
 // The audit emits one JSON object to stdout (before the benchmark table) so
 // successive PRs can track the allocation/time trajectory mechanically:
@@ -277,6 +278,11 @@ void BM_SparsePush_Reused(benchmark::State& state) {
   engine::TraversalWorkspace ws;
   std::uint64_t allocs = 0;
   Frontier f = Frontier::from_vertices(g.num_vertices(), verts, &g.csr());
+  {  // warm the pools so the loop below measures the steady state
+    AccumOp op{acc.data(), x.data()};
+    Frontier next = engine::traverse_csr_sparse(g, f, op, nullptr, ws);
+    next.into_workspace(ws);
+  }
   for (auto _ : state) {
     const std::uint64_t before = allocs_now();
     AccumOp op{acc.data(), x.data()};
@@ -473,6 +479,35 @@ void audit_pagerank_delta(engine::Engine& eng,
   run(/*record=*/true);
 }
 
+/// BFS driven through the sparse push alone, whatever the frontier's
+/// density, run twice on one workspace: the second run's per-round
+/// allocation counts are the steady-state numbers.  Its middle rounds
+/// activate more than |V|/64 vertices, so they take the id-ordered output
+/// (pooled bitmap + to_sparse), and each retired frontier is recycled.
+void audit_sparse_push(const graph::Graph& g, vid_t source,
+                       std::vector<std::uint64_t>& per_round_allocs) {
+  const vid_t n = g.num_vertices();
+  source = g.to_internal(source);
+  engine::TraversalWorkspace ws;
+  std::vector<vid_t> parent(n);
+  auto run = [&](bool record) {
+    std::fill(parent.begin(), parent.end(), kInvalidVertex);
+    parent[source] = source;
+    Frontier f = Frontier::single(n, source, &g.csr());
+    while (!f.empty()) {
+      const std::uint64_t before = allocs_now();
+      algorithms::detail::BfsOp op{parent.data()};
+      Frontier next = engine::traverse_csr_sparse(g, f, op, nullptr, ws);
+      f.into_workspace(ws);
+      f = std::move(next);
+      if (record) per_round_allocs.push_back(allocs_now() - before);
+    }
+    f.into_workspace(ws);
+  };
+  run(/*record=*/false);  // warm the pools
+  run(/*record=*/true);
+}
+
 void run_steady_state_audit() {
   const auto& g = micro_graph();
   engine::Options opts;
@@ -494,6 +529,9 @@ void run_steady_state_audit() {
   std::vector<std::uint64_t> prd_allocs;
   audit_pagerank_delta(prd_eng, prd_allocs);
 
+  std::vector<std::uint64_t> push_allocs;
+  audit_sparse_push(g, bench::max_out_degree_vertex(g), push_allocs);
+
   std::uint64_t pr_steady = 0;
   for (std::size_t i = 1; i < pr_allocs.size(); ++i) pr_steady += pr_allocs[i];
   std::uint64_t bfs_steady = 0;
@@ -502,6 +540,8 @@ void run_steady_state_audit() {
   std::uint64_t prd_steady = 0;
   for (std::size_t i = 1; i < prd_allocs.size(); ++i)
     prd_steady += prd_allocs[i];
+  std::uint64_t push_steady = 0;
+  for (const std::uint64_t a : push_allocs) push_steady += a;
 
   std::printf("{\"bench\":\"steady_state_audit\",\"graph\":\"rmat16\","
               "\"vertices\":%llu,\"edges\":%llu,",
@@ -517,8 +557,12 @@ void run_steady_state_audit() {
               static_cast<unsigned long long>(bfs_steady), bfs_ms);
   std::printf("\"pagerank_delta_auto\":{\"per_round_allocs\":");
   print_u64_array(prd_allocs);
-  std::printf(",\"steady_state_allocs\":%llu}}\n",
+  std::printf(",\"steady_state_allocs\":%llu},",
               static_cast<unsigned long long>(prd_steady));
+  std::printf("\"sparse_push\":{\"per_round_allocs\":");
+  print_u64_array(push_allocs);
+  std::printf(",\"steady_state_allocs\":%llu}}\n",
+              static_cast<unsigned long long>(push_steady));
   std::fflush(stdout);
 }
 

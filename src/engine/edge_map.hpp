@@ -137,7 +137,7 @@ Frontier edge_map(const graph::Graph& g, Frontier& f, Op op,
   AffineCounts affinity;  // home/stolen split of the partition schedulers
   switch (kind) {
     case TraversalKind::kSparseCsr:
-      out = traverse_csr_sparse<D>(g, f, op, &edges, ws, /*prefetch=*/true);
+      out = traverse_csr_sparse<D>(g, f, op, &edges, ws);
       used_atomics = true;  // the sparse push inherently uses update_atomic
       break;
     case TraversalKind::kBackwardCsc: {

@@ -82,7 +82,8 @@ Frontier vertex_map(const graph::Graph& g, const Frontier& f, Fn&& fn,
     }
     slot.degree = degree;
   }
-  return Frontier::from_thread_slots(f.num_vertices(), slots, nt, ws);
+  return Frontier::from_thread_slots(f.num_vertices(), slots, nt, ws,
+                                     /*id_order=*/false);
 }
 
 }  // namespace grind::engine

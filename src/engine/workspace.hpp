@@ -8,8 +8,8 @@
 //     Frontier::into_workspace; acquisition clears only the dirty (nonzero)
 //     words of the recycled bitmap (Bitmap::clear_dirty), so the clearing
 //     cost tracks the previous frontier's density rather than |V|;
-//   * sparse vertex lists — the concatenated output of the sparse forward
-//     kernel, and the sparse representation built by Frontier::to_sparse;
+//   * sparse vertex lists — the output of the sparse push, and the sparse
+//     representation built by Frontier::to_sparse;
 //   * per-thread slots (ThreadSlot) — each thread's output list and counters
 //     on a cache line of its own; each list is sized for |V| once and kept,
 //     so push_back never reallocates;
@@ -46,7 +46,8 @@ namespace grind::engine {
 
 /// One thread's private state in a per-thread filter (the sparse push,
 /// vertex_map): the vertices it activated, the edges it examined and the
-/// degree sum of its activated vertices.  Each slot owns a cache line, so
+/// degree sum of its activated vertices, plus the sparse push's owned slice
+/// [begin, end) of the input frontier list.  Each slot owns a cache line, so
 /// the list's end-pointer writes and the counters of neighbouring threads
 /// never share one — a plain vector of vectors packs 2–3 list headers per
 /// line and the push stops scaling past one thread.
@@ -54,6 +55,8 @@ struct alignas(kCacheLineBytes) ThreadSlot {
   std::vector<vid_t> list;
   eid_t edges = 0;
   eid_t degree = 0;
+  std::size_t begin = 0;
+  std::size_t end = 0;
 };
 
 class TraversalWorkspace {
@@ -153,11 +156,11 @@ class TraversalWorkspace {
   }
 
   /// `nt` per-thread slots, each with its list emptied and its counters
-  /// zeroed.  Every list has room for `capacity` vertices (callers pass
-  /// |V|, the most one thread can emit), so a list never grows inside a
-  /// traversal: with dynamic scheduling any thread may draw the largest
-  /// share, and a growth-on-demand list would allocate whenever one does so
-  /// for the first time.  Untouched capacity costs address space only.
+  /// and slice zeroed.  Every list has room for `capacity` vertices
+  /// (callers pass |V|, the most one thread can emit), so a list never
+  /// grows inside a traversal: whichever thread's share emits the most, a
+  /// growth-on-demand list would allocate whenever one does so for the
+  /// first time.  Untouched capacity costs address space only.
   [[nodiscard]] std::vector<ThreadSlot>& thread_slots(std::size_t nt,
                                                       std::size_t capacity) {
     if (thread_slots_.size() < nt) thread_slots_.resize(nt);
@@ -166,6 +169,8 @@ class TraversalWorkspace {
       thread_slots_[t].list.reserve(capacity);
       thread_slots_[t].edges = 0;
       thread_slots_[t].degree = 0;
+      thread_slots_[t].begin = 0;
+      thread_slots_[t].end = 0;
     }
     return thread_slots_;
   }

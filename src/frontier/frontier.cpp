@@ -47,7 +47,7 @@ Frontier Frontier::from_vertices(vid_t n, std::vector<vid_t> verts,
 
 Frontier Frontier::from_thread_slots(
     vid_t n, const std::vector<engine::ThreadSlot>& slots, std::size_t nt,
-    engine::TraversalWorkspace& ws) {
+    engine::TraversalWorkspace& ws, bool id_order) {
   std::size_t active = 0;
   eid_t degree = 0;
   for (std::size_t t = 0; t < nt; ++t) {
@@ -56,10 +56,20 @@ Frontier Frontier::from_thread_slots(
   }
   Frontier f;
   f.n_ = n;
-  f.sparse_ = ws.acquire_vertex_list(active);
-  for (std::size_t t = 0; t < nt; ++t)
-    f.sparse_.insert(f.sparse_.end(), slots[t].list.begin(),
-                     slots[t].list.end());
+  if (id_order && active > bitmap_words(n)) {
+    f.dense_ = ws.acquire_bitmap(n);
+    f.dense_rep_ = true;
+    // Slot lists are disjoint, but neighbouring ids share words.
+    parallel_for_dynamic(0, nt, [&](std::size_t t) {
+      for (const vid_t v : slots[t].list) f.dense_.set_atomic(v);
+    });
+    f.to_sparse(ws);
+  } else {
+    f.sparse_ = ws.acquire_vertex_list(active);
+    for (std::size_t t = 0; t < nt; ++t)
+      f.sparse_.insert(f.sparse_.end(), slots[t].list.begin(),
+                       slots[t].list.end());
+  }
   f.set_stats(static_cast<vid_t>(active), degree);
   return f;
 }

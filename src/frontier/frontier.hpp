@@ -42,12 +42,24 @@ class Frontier {
   static Frontier from_vertices(vid_t n, std::vector<vid_t> verts,
                                 const graph::Csr* out = nullptr);
 
-  /// Sparse frontier concatenating the lists of the first `nt` per-thread
-  /// slots into a list drawn from `ws`'s pool.  The statistics come from the
-  /// slots (list lengths and degree accumulators), so nothing is recounted.
+  /// Sparse frontier of the vertices in the lists of the first `nt`
+  /// per-thread slots, in a list drawn from `ws`'s pool.  The statistics
+  /// come from the slots (list lengths and degree accumulators), so nothing
+  /// is recounted.
+  ///
+  /// With `id_order` set and more than bitmap_words(n) = ⌈|V|/64⌉ vertices
+  /// in the slots, the list is id-sorted: each slot list is ORed into a
+  /// pooled bitmap in parallel and the to_sparse scan reads it back in id
+  /// order.  That cut is a cost rule: the bitmap path clears, counts and
+  /// scans all ⌈|V|/64⌉ words, which pays only for lists longer than that
+  /// (a lattice BFS's ~1 k-vertex frontiers stay below it).  Below the cut,
+  /// and always without `id_order`, the list is the slot lists concatenated
+  /// in thread order.  The sparse push sets `id_order`, so the next sweep's
+  /// owned slices are compact id ranges; vertex_map does not, since its
+  /// output already keeps its input's order.
   static Frontier from_thread_slots(
       vid_t n, const std::vector<engine::ThreadSlot>& slots, std::size_t nt,
-      engine::TraversalWorkspace& ws);
+      engine::TraversalWorkspace& ws, bool id_order);
 
   /// Dense frontier adopting a bitmap produced by a traversal.  Statistics
   /// must be provided by the caller or recomputed via recount().

@@ -3,7 +3,9 @@
 // operator, regardless of partition count, atomics mode or frontier
 // representation.
 #include <gtest/gtest.h>
+#include <omp.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <string>
@@ -267,35 +269,191 @@ TEST(Kernels, ResultsIdenticalAcrossThreadCounts) {
   EXPECT_EQ(run(1), run(num_threads()));
 }
 
-TEST(Kernels, SparsePushStatisticsEqualRecountInBothDirections) {
-  // The push sums |F| and Σ deg (in the push direction) in its per-thread
-  // slots as it claims destinations; the totals must equal a recount of
-  // the output list, at one thread and at several.
+/// Records, per source, how many edges the push read from it and which
+/// thread read them; activates nothing.
+struct SliceProbeOp {
+  std::uint64_t* pushes;
+  int* owner;
+
+  bool update(vid_t s, vid_t d, weight_t w) { return update_atomic(s, d, w); }
+  bool update_atomic(vid_t s, vid_t, weight_t) {
+    atomic_add(pushes[s], std::uint64_t{1});
+    std::atomic_ref<int>(owner[s]).store(omp_get_thread_num(),
+                                         std::memory_order_relaxed);
+    return false;
+  }
+  [[nodiscard]] bool cond(vid_t) const { return true; }
+};
+
+/// A bidirectional star around vertex 0 plus a path over the leaves: the
+/// hub holds most of the push weight in either direction.
+graph::EdgeList hub_graph(vid_t n) {
+  graph::EdgeList el;
+  el.set_num_vertices(n);
+  for (vid_t v = 1; v < n; ++v) {
+    el.add(0, v);
+    el.add(v, 0);
+    if (v + 1 < n) el.add(v, v + 1);
+  }
+  return el;
+}
+
+TEST(Kernels, SparsePushSlicesCoverTheFrontierOnce) {
+  // Each thread owns one contiguous slice of the frontier list: every
+  // frontier vertex's edges are read exactly once, by one thread, the
+  // owning thread never decreases along the list, and the edge count is
+  // exact — whatever the frontier's size and skew.
+  const Graph lattice = Graph::build(graph::road_lattice(32, 32, 0.05, 5));
+  const Graph hub = Graph::build(hub_graph(600));
+  struct Case {
+    const Graph* g;
+    std::vector<vid_t> verts;
+    const char* name;
+  };
+  std::vector<vid_t> every5th;
+  for (vid_t v = 0; v < lattice.num_vertices(); v += 5) every5th.push_back(v);
+  std::vector<vid_t> hub_and_leaves{0};
+  for (vid_t v = 1; v < 40; ++v) hub_and_leaves.push_back(v * 7);
+  const std::vector<Case> cases{
+      {&lattice, every5th, "lattice every 5th"},
+      {&lattice, {17, 300}, "|F| < threads"},
+      {&hub, hub_and_leaves, "hub"},
+      {&hub, {}, "empty"}};
+
+  for (const Case& c : cases) {
+    const Graph& g = *c.g;
+    const vid_t n = g.num_vertices();
+    for (const int threads : {1, 2, 4}) {
+      ThreadCountGuard guard(threads);
+      TraversalWorkspace ws;
+      auto check = [&]<Direction D>() {
+        const graph::Csr& adj = push_index<D>(g);
+        std::vector<std::uint64_t> pushes(n, 0);
+        std::vector<int> owner(n, -1);
+        SliceProbeOp op{pushes.data(), owner.data()};
+        Frontier f = Frontier::from_vertices(n, c.verts, &adj);
+        eid_t edges = 0;
+        Frontier out = traverse_csr_sparse<D>(g, f, op, &edges, ws);
+        const std::string where = std::string(c.name) + " threads=" +
+                                  std::to_string(threads) + " transpose=" +
+                                  std::to_string(D == Direction::kTranspose);
+        EXPECT_TRUE(out.empty()) << where;
+        eid_t want_edges = 0;
+        int last_owner = 0;
+        for (const vid_t v : c.verts) {
+          want_edges += adj.degree(v);
+          ASSERT_EQ(pushes[v], adj.degree(v)) << where << " v=" << v;
+          if (adj.degree(v) == 0) continue;
+          ASSERT_GE(owner[v], last_owner) << where << " v=" << v;
+          ASSERT_LT(owner[v], threads) << where << " v=" << v;
+          last_owner = owner[v];
+        }
+        EXPECT_EQ(edges, want_edges) << where;
+        std::uint64_t total = 0;
+        for (const std::uint64_t p : pushes) total += p;
+        EXPECT_EQ(total, want_edges) << where;
+        out.into_workspace(ws);
+      };
+      check.template operator()<Direction::kForward>();
+      check.template operator()<Direction::kTranspose>();
+    }
+  }
+}
+
+/// Claims each destination once, like SumOp, and records the claiming
+/// thread.
+struct ClaimProbeOp {
+  unsigned char* claimed;
+  int* claimer;
+
+  bool update(vid_t s, vid_t d, weight_t w) { return update_atomic(s, d, w); }
+  bool update_atomic(vid_t, vid_t d, weight_t) {
+    if (!atomic_claim(claimed[d])) return false;
+    claimer[d] = omp_get_thread_num();
+    return true;
+  }
+  [[nodiscard]] bool cond(vid_t) const { return true; }
+};
+
+TEST(Kernels, SparsePushOutputOrderAndStatistics) {
+  // Above the |V|/64 cut the push returns an id-sorted list; below it the
+  // per-thread slot lists concatenated in thread order.  Either way the
+  // set equals a serial reference sweep, and the |F| and Σ deg the push
+  // summed in its slots equal a recount of the list.
   for (const auto& [el, name] :
        {std::pair{graph::road_lattice(64, 64, 0.05, 3), "lattice"},
         std::pair{graph::rmat(11, 8, 17), "rmat"}}) {
     const Graph g = Graph::build(graph::EdgeList(el));
     const vid_t n = g.num_vertices();
-    std::vector<vid_t> verts;
-    for (vid_t v = 0; v < n; v += 7) verts.push_back(v);
+    const std::size_t cut = bitmap_words(n);
     for (const int threads : {1, 4}) {
       ThreadCountGuard guard(threads);
       TraversalWorkspace ws;
       auto check = [&]<Direction D>() {
-        std::vector<std::uint64_t> acc(n, 0);
-        std::vector<unsigned char> claimed(n, 0);
-        SumOp op{acc.data(), claimed.data()};
-        Frontier f = Frontier::from_vertices(n, verts, &push_index<D>(g));
-        Frontier out = traverse_csr_sparse<D>(g, f, op, nullptr, ws);
-        const vid_t active = out.num_active();
-        const eid_t degree = out.active_out_degree();
-        EXPECT_GT(active, 0u);
-        out.recount(&push_index<D>(g));
-        EXPECT_EQ(active, out.num_active())
-            << name << " threads=" << threads;
-        EXPECT_EQ(degree, out.active_out_degree())
-            << name << " threads=" << threads;
-        out.into_workspace(ws);
+        const graph::Csr& adj = push_index<D>(g);
+        // Serial reference: sources in list order, destinations in row
+        // order, each claimed by its first visit.
+        auto reference = [&](const std::vector<vid_t>& verts) {
+          std::vector<unsigned char> seen(n, 0);
+          std::vector<vid_t> out;
+          for (const vid_t s : verts)
+            for (const vid_t d : adj.neighbors(s))
+              if (seen[d] == 0) {
+                seen[d] = 1;
+                out.push_back(d);
+              }
+          return out;
+        };
+        std::vector<vid_t> large;
+        for (vid_t v = 0; v < n; v += 7) large.push_back(v);
+        // Grow a frontier from the high ids down while its output stays
+        // below the cut, so the slot lists are not already sorted.
+        std::vector<vid_t> small;
+        for (vid_t v = n; v-- > 0;) {
+          small.push_back(v);
+          if (reference(small).size() > cut) {
+            small.pop_back();
+            break;
+          }
+        }
+        for (const auto& verts : {large, small}) {
+          const std::vector<vid_t> want = reference(verts);
+          const bool above = want.size() > cut;
+          const std::string where = std::string(name) + " threads=" +
+                                    std::to_string(threads) + " transpose=" +
+                                    std::to_string(D == Direction::kTranspose) +
+                                    (above ? " above" : " below") + " the cut";
+          ASSERT_FALSE(want.empty()) << where;
+          std::vector<unsigned char> claimed(n, 0);
+          std::vector<int> claimer(n, -1);
+          ClaimProbeOp op{claimed.data(), claimer.data()};
+          Frontier f = Frontier::from_vertices(n, verts, &adj);
+          Frontier out = traverse_csr_sparse<D>(g, f, op, nullptr, ws);
+          ASSERT_FALSE(out.is_dense()) << where;
+          const std::vector<vid_t> got(out.vertices().begin(),
+                                       out.vertices().end());
+          if (above) {
+            for (std::size_t i = 1; i < got.size(); ++i)
+              ASSERT_LT(got[i - 1], got[i]) << where << " i=" << i;
+          } else if (threads == 1) {
+            EXPECT_EQ(got, want) << where;  // one slot, in claim order
+          } else {
+            for (std::size_t i = 1; i < got.size(); ++i)
+              ASSERT_LE(claimer[got[i - 1]], claimer[got[i]])
+                  << where << " i=" << i;
+          }
+          std::vector<vid_t> got_set = got;
+          std::vector<vid_t> want_set = want;
+          std::ranges::sort(got_set);
+          std::ranges::sort(want_set);
+          EXPECT_EQ(got_set, want_set) << where;
+          const vid_t active = out.num_active();
+          const eid_t degree = out.active_out_degree();
+          out.recount(&adj);
+          EXPECT_EQ(active, out.num_active()) << where;
+          EXPECT_EQ(degree, out.active_out_degree()) << where;
+          out.into_workspace(ws);
+        }
       };
       check.template operator()<Direction::kForward>();
       check.template operator()<Direction::kTranspose>();
