@@ -1,15 +1,13 @@
 // Service throughput: queries/sec through one GraphService over one shared
-// partitioned graph, as a function of client (worker) count and workspace-
-// pool size.  This is the serving regime the partition-centric layouts
+// partitioned graph, as a function of client (worker) count.  This is the
+// serving regime the partition-centric layouts
 // exist for — many traversals over one read-only structure — and the scaling
 // claim the PR is accepted against: ≥ 2× single-client throughput at 4
 // clients on the bench graph.
 //
 // Queries run with threads_per_query = 1 (concurrency across queries, not
 // inside them), so the scaling axis is pure inter-query parallelism over
-// the shared layouts.  The pool-size axis shows the throttling behaviour: a
-// pool smaller than the client count caps effective concurrency at the pool
-// size.
+// the shared layouts.
 //
 // Besides throughput each configuration reports the end-to-end latency
 // distribution (queue wait + execution, nearest-rank p50/p99/p999) — the
@@ -17,11 +15,11 @@
 // the binary is built with -DGRIND_FAULT_INJECT, each configuration runs a
 // second time with a probabilistic "service.worker-stall" fault armed, so
 // the trajectory records how the tail degrades with a slow worker in the
-// pool ("slow_worker":true rows).
+// tier ("slow_worker":true rows).
 //
-// One JSON object per (clients × pool) configuration goes to stdout for the
-// perf trajectory, e.g.:
-//   {"bench":"service_throughput","graph":"Twitter","clients":4,"pool":4,
+// One JSON object per client count goes to stdout for the perf trajectory,
+// e.g.:
+//   {"bench":"service_throughput","graph":"Twitter","clients":4,
 //    "queries":64,"seconds":...,"qps":...,"speedup_vs_1":...,
 //    "p50_ms":...,"p99_ms":...,"p999_ms":...,"slow_worker":false}
 #include <algorithm>
@@ -100,15 +98,14 @@ RunResult run_workload(service::GraphService& svc, std::size_t queries) {
 }
 
 RunResult run_once(const graph::EdgeList& el, std::size_t clients,
-                   std::size_t pool_cap, std::size_t queries) {
+                   std::size_t queries) {
   service::ServiceConfig cfg;
   cfg.workers = clients;
-  cfg.pool_capacity = pool_cap;
   cfg.threads_per_query = 1;
   service::GraphService svc(graph::Graph::build(graph::EdgeList(el), {}),
                             cfg);
 
-  // Warmup: populate the pool's workspaces and fault in the layouts.
+  // Warmup: warm the workers' workspaces and fault in the layouts.
   {
     auto warm = svc.run_batch(make_workload(svc.graph(), 2 * clients));
     for (const auto& r : warm)
@@ -118,16 +115,16 @@ RunResult run_once(const graph::EdgeList& el, std::size_t clients,
 }
 
 void emit_row(const std::string& graph_name, std::size_t clients,
-              std::size_t pool, std::size_t queries, const RunResult& r,
-              double base_qps, bool slow_worker) {
+              std::size_t queries, const RunResult& r, double base_qps,
+              bool slow_worker) {
   const double qps = static_cast<double>(queries) / r.secs;
   std::printf(
       "{\"bench\":\"service_throughput\",\"graph\":\"%s\","
-      "\"clients\":%zu,\"pool\":%zu,\"queries\":%zu,"
+      "\"clients\":%zu,\"queries\":%zu,"
       "\"seconds\":%.6f,\"qps\":%.2f,\"speedup_vs_1\":%.3f,"
       "\"p50_ms\":%.3f,\"p99_ms\":%.3f,\"p999_ms\":%.3f,"
       "\"slow_worker\":%s}\n",
-      graph_name.c_str(), clients, pool, queries, r.secs, qps,
+      graph_name.c_str(), clients, queries, r.secs, qps,
       base_qps > 0 ? qps / base_qps : 1.0, percentile_ms(r.latencies, 0.50),
       percentile_ms(r.latencies, 0.99), percentile_ms(r.latencies, 0.999),
       slow_worker ? "true" : "false");
@@ -141,38 +138,34 @@ void report(const std::string& graph_name) {
   const graph::EdgeList el =
       bench::make_suite_graph(graph_name, bench::suite_scale());
 
-  struct Config {
-    std::size_t clients, pool;
-  };
-  std::vector<Config> configs = {{1, 1}, {2, 2}, {4, 4}, {4, 1}, {8, 8}};
-  configs.erase(std::remove_if(configs.begin(), configs.end(),
-                               [&](const Config& c) {
-                                 return c.clients > 1 &&
-                                        c.clients >
-                                            static_cast<std::size_t>(2 * hw);
-                               }),
-                configs.end());
+  std::vector<std::size_t> client_counts = {1, 2, 4, 8};
+  client_counts.erase(
+      std::remove_if(client_counts.begin(), client_counts.end(),
+                     [&](std::size_t c) {
+                       return c > 1 && c > static_cast<std::size_t>(2 * hw);
+                     }),
+      client_counts.end());
 
   struct Row {
-    Config cfg;
+    std::size_t clients;
     double secs, qps, p50, p99, p999;
   };
   std::vector<Row> rows;
   double base_qps = 0.0;
 
-  for (const Config& c : configs) {
-    const RunResult res = run_once(el, c.clients, c.pool, queries);
+  for (const std::size_t clients : client_counts) {
+    const RunResult res = run_once(el, clients, queries);
     const double qps = static_cast<double>(queries) / res.secs;
-    if (c.clients == 1) base_qps = qps;
-    rows.push_back({c, res.secs, qps, percentile_ms(res.latencies, 0.50),
+    if (clients == 1) base_qps = qps;
+    rows.push_back({clients, res.secs, qps, percentile_ms(res.latencies, 0.50),
                     percentile_ms(res.latencies, 0.99),
                     percentile_ms(res.latencies, 0.999)});
-    emit_row(graph_name, c.clients, c.pool, queries, res, base_qps,
+    emit_row(graph_name, clients, queries, res, base_qps,
              /*slow_worker=*/false);
 
 #ifdef GRIND_FAULT_INJECT
     // Same configuration with one-in-five queries stalled 20 ms between
-    // lease and execution: the p99/p999 deltas against the clean rows show
+    // dequeue and execution: the p99/p999 deltas against the clean rows show
     // how much tail a slow worker costs at each concurrency level.
     {
       sys::fault::Spec stall;
@@ -180,9 +173,9 @@ void report(const std::string& graph_name) {
       stall.stall_ms = 20;
       stall.seed = 29;
       sys::fault::arm("service.worker-stall", stall);
-      const RunResult slow = run_once(el, c.clients, c.pool, queries);
+      const RunResult slow = run_once(el, clients, queries);
       sys::fault::disarm_all();
-      emit_row(graph_name, c.clients, c.pool, queries, slow, base_qps,
+      emit_row(graph_name, clients, queries, slow, base_qps,
                /*slow_worker=*/true);
     }
 #endif
@@ -191,11 +184,10 @@ void report(const std::string& graph_name) {
   Table t("service throughput — " + graph_name + "-like, " +
           std::to_string(queries) + " mixed queries (BFS/PR/BF/CC), 1 "
           "thread per query, " + std::to_string(hw) + " hw threads");
-  t.header({"clients", "pool", "seconds", "queries/s", "speedup vs 1",
-            "p50 [ms]", "p99 [ms]", "p999 [ms]"});
+  t.header({"clients", "seconds", "queries/s", "speedup vs 1", "p50 [ms]",
+            "p99 [ms]", "p999 [ms]"});
   for (const auto& r : rows)
-    t.row({Table::num(r.cfg.clients), Table::num(r.cfg.pool),
-           Table::num(r.secs, 3), Table::num(r.qps, 1),
+    t.row({Table::num(r.clients), Table::num(r.secs, 3), Table::num(r.qps, 1),
            Table::num(base_qps > 0 ? r.qps / base_qps : 1.0, 2),
            Table::num(r.p50, 2), Table::num(r.p99, 2),
            Table::num(r.p999, 2)});
@@ -206,7 +198,7 @@ void report(const std::string& graph_name) {
 /// whose cache was primed by one full pass, against a cache-disabled twin.
 /// Every measured query hits (the workload is deterministic algorithms with
 /// identical resolved params), so the row quantifies what a hit is worth —
-/// no workspace lease, no traversal, a refcount bump on the shared result.
+/// no worker, no traversal, a refcount bump on the shared result.
 /// Emitted under its own "service_cache" name so the service_throughput
 /// scaling gate never sees cached rows.
 void report_cache(const std::string& graph_name) {
@@ -218,17 +210,16 @@ void report_cache(const std::string& graph_name) {
   const graph::EdgeList el =
       bench::make_suite_graph(graph_name, bench::suite_scale());
 
-  const RunResult cold = run_once(el, clients, clients, queries);
+  const RunResult cold = run_once(el, clients, queries);
 
   service::ServiceConfig cfg;
   cfg.workers = clients;
-  cfg.pool_capacity = clients;
   cfg.threads_per_query = 1;
   cfg.result_cache_capacity = 2 * queries;  // hold the whole workload
   service::GraphService svc(graph::Graph::build(graph::EdgeList(el), {}),
                             cfg);
   {
-    // Warm the pool, then prime every cache entry with one full pass.
+    // Warm the workers, then prime every cache entry with one full pass.
     auto warm = svc.run_batch(make_workload(svc.graph(), 2 * clients));
     auto prime = svc.run_batch(make_workload(svc.graph(), queries));
     for (const auto& r : warm)
@@ -275,13 +266,9 @@ void report_cache(const std::string& graph_name) {
 int main() {
   report("Twitter");
   report_cache("Twitter");
-  std::cout << "Expected: queries/s scales with client count while the pool\n"
-               "matches it (>= 2x at 4 clients on multi-core hosts); pool=1\n"
-               "at 4 clients collapses back towards single-client throughput\n"
-               "(workspace checkout is the concurrency throttle), and its\n"
-               "p99 latency stretches as queries wait for the single\n"
-               "workspace.  The cached pass should beat the cold pass on\n"
-               "p50 — a hit skips the workspace lease and the traversal\n"
-               "entirely.\n";
+  std::cout << "Expected: queries/s scales with client count (>= 2x at 4\n"
+               "clients on multi-core hosts).  The cached pass should beat\n"
+               "the cold pass on p50 — a hit needs no worker and no\n"
+               "traversal.\n";
   return 0;
 }

@@ -226,12 +226,12 @@ class DomainSchedule {
 /// iteration of each (graph layout × thread budget) pays the prepare.
 class DomainScheduleCache {
  public:
-  /// A workspace serves one graph's handful of item sets (COO partitions,
-  /// COO chunks, two CSC sub-chunk lists, pruned-CSR partitions/chunks) —
-  /// but the key also includes the preferred domain, and a pooled
-  /// workspace can be leased to workers pinned to different domains over
-  /// its lifetime (the pool's foreign-warm fallback).  Size for the worst
-  /// realistic product — ~6 item sets × the paper's 4–8 domains — so
+  /// A workspace serves a handful of item sets per graph (COO partitions,
+  /// COO chunks, two CSC sub-chunk lists, pruned-CSR partitions/chunks),
+  /// and the key also carries the thread count and the preferred domain.
+  /// A service worker's one workspace serves every catalog graph, and a
+  /// caller-owned workspace may be driven at several thread counts.  Size
+  /// for ~6 item sets × 8 such (graph, threads, domain) combinations, so
   /// steady state never evicts a live schedule and re-prepares per
   /// iteration.  Entries are small (a few KB of index arrays each).
   static constexpr std::size_t kMaxEntries = 48;

@@ -25,7 +25,7 @@ class Engine {
   /// Bind to a caller-owned workspace instead of the engine's internal one.
   /// This is the re-entrant form: the Engine itself is a few words and cheap
   /// to construct per query, while the heavy pooled scratch lives in `ws`
-  /// (e.g. checked out of a service::WorkspacePool).  `ws` must outlive the
+  /// (e.g. the one a service worker owns).  `ws` must outlive the
   /// engine and must not be shared with a concurrently running traversal.
   Engine(const graph::Graph& g, Options opts, TraversalWorkspace& ws)
       : graph_(&g), opts_(opts), external_ws_(&ws) {}

@@ -28,8 +28,8 @@
 // Engine owns one by default, so all Engine-driven algorithms get
 // steady-state zero-allocation traversal without code changes; an Engine
 // can instead borrow a caller-owned workspace (Engine(g, opts, ws)) — the
-// re-entrant form used by the explicit-workspace algorithm entry points
-// and service::WorkspacePool for concurrent queries over one shared graph.
+// re-entrant form a service worker uses to run every query it serves on
+// the one workspace it owns, beside other workers on one shared graph.
 // Call-site workspaces also drive the kernels directly (benchmarks,
 // baseline engines).
 #pragma once

@@ -1,6 +1,7 @@
 #include "graph/io.hpp"
 
 #include <array>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -14,9 +15,25 @@ namespace grind::graph {
 namespace {
 constexpr std::uint64_t kMagic = 0x4747524e44475248ULL;  // "GGRNDGRH"
 constexpr std::uint32_t kVersion = 1;
+constexpr std::string_view kWs = " \t\r\f\v";
 
 [[noreturn]] void fail(const std::string& what, const std::string& path) {
   throw std::runtime_error(what + ": " + path);
+}
+
+/// Parse one vertex id at the front of `sv` (after blanks) and drop it.
+/// std::from_chars rejects a sign and an out-of-range value, which
+/// `istream >> uint32_t` accepts ("-1" reads as 4294967295); the reserved
+/// kInvalidVertex is refused too, since EdgeList::add bounds ids by id + 1.
+bool take_vertex_id(std::string_view& sv, vid_t* out) {
+  const auto b = sv.find_first_not_of(kWs);
+  if (b == std::string_view::npos) return false;
+  sv.remove_prefix(b);
+  const auto [end, ec] =
+      std::from_chars(sv.data(), sv.data() + sv.size(), *out);
+  if (ec != std::errc{} || *out == kInvalidVertex) return false;
+  sv.remove_prefix(static_cast<std::size_t>(end - sv.data()));
+  return true;
 }
 }  // namespace
 
@@ -26,7 +43,6 @@ EdgeList load_snap(const std::string& path) {
   EdgeList el;
   std::string line;
   std::size_t lineno = 0;
-  constexpr std::string_view kWs = " \t\r\f\v";
   while (std::getline(in, line)) {
     ++lineno;
     // Real-world SNAP dumps arrive with CRLF endings, stray indentation,
@@ -38,12 +54,11 @@ EdgeList load_snap(const std::string& path) {
     sv.remove_prefix(b);
     sv.remove_suffix(sv.size() - 1 - sv.find_last_not_of(kWs));
     if (sv[0] == '#' || sv[0] == '%') continue;
-    std::istringstream ss{std::string(sv)};
     vid_t src = 0, dst = 0;
-    weight_t w = 1.0f;
-    if (!(ss >> src >> dst)) {
+    if (!take_vertex_id(sv, &src) || !take_vertex_id(sv, &dst))
       fail("parse error at line " + std::to_string(lineno), path);
-    }
+    std::istringstream ss{std::string(sv)};
+    weight_t w = 1.0f;
     ss >> w;  // optional third column
     el.add(src, dst, w);
   }
@@ -115,6 +130,16 @@ EdgeList load_binary(const std::string& path) {
   in.read(reinterpret_cast<char*>(edges.data()),
           static_cast<std::streamsize>(ne * sizeof(Edge)));
   if (!in) fail("truncated file", path);
+  // Graph::build indexes per-vertex arrays by every endpoint, so one past
+  // the header's bound would write out of bounds there.
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    if (edges[i].src >= nv || edges[i].dst >= nv)
+      fail("endpoint out of range: edge " + std::to_string(i) + " (" +
+               std::to_string(edges[i].src) + ", " +
+               std::to_string(edges[i].dst) + ") with " + std::to_string(nv) +
+               " vertices",
+           path);
+  }
   return EdgeList(static_cast<vid_t>(nv), std::move(edges));
 }
 

@@ -15,7 +15,8 @@ namespace grind::graph {
 /// '#'/'%'-prefixed comment lines ignored.  Vertex ids are used as-is (the
 /// file defines the id space); missing weights default to 1.  Tolerant of
 /// CRLF line endings, leading/trailing whitespace, and blank lines.
-/// Throws std::runtime_error on unreadable files or parse errors.
+/// Throws std::runtime_error on unreadable files or parse errors, which
+/// include a signed or out-of-range id and the reserved id kInvalidVertex.
 EdgeList load_snap(const std::string& path);
 
 /// Save in SNAP text format (with weights when any differs from 1).
@@ -26,7 +27,8 @@ void save_snap(const EdgeList& el, const std::string& path);
 void save_binary(const EdgeList& el, const std::string& path);
 
 /// Load the binary format written by save_binary().
-/// Throws std::runtime_error on bad magic/version or truncated files.
+/// Throws std::runtime_error on bad magic/version, truncated files, and an
+/// edge endpoint at or past the header's vertex count.
 EdgeList load_binary(const std::string& path);
 
 }  // namespace grind::graph

@@ -1,6 +1,5 @@
 #include "service/graph_service.hpp"
 
-#include <algorithm>
 #include <memory>
 #include <new>
 #include <optional>
@@ -47,9 +46,7 @@ const char* to_string(QueryStatus s) {
 GraphService::GraphService(graph::Graph g, ServiceConfig cfg)
     : cfg_(cfg),
       catalog_(GraphCatalog::Config{cfg.catalog_byte_budget}),
-      cache_(ResultCache::Config{cfg.result_cache_capacity}),
-      pool_(cfg.pool_capacity != 0 ? cfg.pool_capacity
-                                   : std::max<std::size_t>(1, cfg.workers)) {
+      cache_(ResultCache::Config{cfg.result_cache_capacity}) {
   if (cfg_.workers == 0) cfg_.workers = 1;
   // Load eagerly under the default name: the entry resolves the per-graph
   // default source at load, so queries are never the first to compute
@@ -62,9 +59,7 @@ GraphService::GraphService(graph::Graph g, ServiceConfig cfg)
 GraphService::GraphService(ServiceConfig cfg)
     : cfg_(cfg),
       catalog_(GraphCatalog::Config{cfg.catalog_byte_budget}),
-      cache_(ResultCache::Config{cfg.result_cache_capacity}),
-      pool_(cfg.pool_capacity != 0 ? cfg.pool_capacity
-                                   : std::max<std::size_t>(1, cfg.workers)) {
+      cache_(ResultCache::Config{cfg.result_cache_capacity}) {
   if (cfg_.workers == 0) cfg_.workers = 1;
   start_workers();
 }
@@ -122,10 +117,6 @@ void GraphService::shutdown() {
     stolen.swap(queue_);  // steal atomically with the flag: workers that
                           // wake on stopping_ find an empty queue
   }
-  // Wake blocked pool waits (a worker waiting for a lease cannot observe
-  // stopping_) — acquire returns invalid / nullopt and the query resolves
-  // kCancelled instead of wedging the join below.
-  pool_.close();
   queue_cv_.notify_all();
   // Every stolen entry resolves its future: shutdown cancels queued work, it
   // never drops it.  In-flight queries run to completion.
@@ -142,18 +133,21 @@ void GraphService::worker_loop(std::size_t index) {
   // oversubscribe beyond k·threads_per_query.
   ThreadLimitGuard limit(cfg_.threads_per_query);
   // Pin the worker round-robin to the default graph's NUMA domains: its
-  // traversals start from its home domain's partitions, its pool leases
-  // prefer scratch warm on that domain, and under a physical libnuma
-  // backend the OS thread is bound to the node holding those partitions'
-  // arenas.  A catalog-only service leaves workers unpinned — resident
-  // graphs may disagree on domain count, and pinning to one of them would
-  // be arbitrary.
+  // traversals start from its home domain's partitions, and under a
+  // physical libnuma backend the OS thread is bound to the node holding
+  // those partitions' arenas.  A catalog-only service leaves workers
+  // unpinned — resident graphs may disagree on domain count, and pinning
+  // to one of them would be arbitrary.
   std::optional<DomainPinGuard> pin;
   if (default_handle_ != nullptr) {
     const NumaModel& numa = default_handle_->graph().numa();
     pin.emplace(numa.domain_of_thread(static_cast<int>(index),
                                       static_cast<int>(cfg_.workers)));
   }
+  // Built after the pin: this thread first-touches the workspace's scratch
+  // on its own domain, and the buffers stay warm across every query the
+  // worker runs.  One query at a time per worker ⇒ one workspace suffices.
+  engine::TraversalWorkspace ws;
   for (;;) {
     std::optional<Job> job;  // not a default Job: that allocates a promise
     {
@@ -171,7 +165,7 @@ void GraphService::worker_loop(std::size_t index) {
       // executing it only delays everything behind it.
       drop(*job, QueryStatus::kShed, "admission timeout exceeded in queue");
     } else {
-      run_one(*job);
+      run_one(*job, ws);
     }
   }
 }
@@ -251,8 +245,8 @@ bool GraphService::prepare(const QueryRequest& req, Prepared* out,
                                 algorithms::canonical_fingerprint(out->resolved)};
     out->cacheable = true;
     if (std::optional<algorithms::AnyResult> hit = cache_.get(out->key)) {
-      // Served on the submitter's thread: no queue slot, no workspace
-      // lease, the shared payload the populating run produced.
+      // Served on the submitter's thread: no queue slot, no worker, the
+      // shared payload the populating run produced.
       QueryResult r;
       r.algorithm = req.algorithm;
       r.value = std::move(*hit);
@@ -289,7 +283,7 @@ std::future<QueryResult> GraphService::submit(QueryRequest req) {
   // Resolve {graph, algorithm, params} and probe the cache before
   // queueing: validation failures and cache hits resolve right here on the
   // submitter's thread, consuming neither a queue slot nor (for hits) a
-  // workspace lease.  The Prepared entry handle pins the graph across the
+  // worker.  The Prepared entry handle pins the graph across the
   // queue wait, so an evict/reload landing mid-queue cannot yank it.
   QueryResult early;
   if (!prepare(req, &job.prep, &early)) {
@@ -321,61 +315,20 @@ void GraphService::drop(Job& job, QueryStatus status, const char* why) {
   finish(job, std::move(r));
 }
 
-void GraphService::run_one(Job& job) {
+void GraphService::run_one(Job& job, engine::TraversalWorkspace& ws) {
   const Clock::time_point start = Clock::now();
-  const std::string& algorithm = job.prep.desc->name;
-  const sys::CancelToken* token = job.token.get();
   // The deadline may already have passed while the query sat in line.
   const sys::CancelState state =
-      token != nullptr ? token->state() : sys::CancelState::kRun;
+      job.token != nullptr ? job.token->state() : sys::CancelState::kRun;
   QueryResult r;
-  WorkspacePool::Lease lease;
   if (state != sys::CancelState::kRun) {
-    r = unrun_result(algorithm, status_of(state),
+    r = unrun_result(job.prep.desc->name, status_of(state),
                      state == sys::CancelState::kDeadlineExceeded
                          ? "deadline exceeded in queue"
                          : "cancelled in queue");
   } else {
-    // Lease scratch warm on this worker's domain, waiting no longer than
-    // the query's own deadline and the configured lease timeout allow.
-    // Lazy workspace creation can throw bad_alloc (real memory pressure, or
-    // the "pool.workspace-alloc" fault site) — that fails this query, never
-    // the worker; the unclaimed capacity slot stays available for later
-    // queries.
-    const bool token_deadline = token != nullptr && token->has_deadline();
-    try {
-      if (token_deadline || cfg_.lease_timeout.count() > 0) {
-        Clock::time_point until = Clock::time_point::max();
-        if (token_deadline) until = token->deadline();
-        if (cfg_.lease_timeout.count() > 0)
-          until = std::min(until, start + cfg_.lease_timeout);
-        if (auto opt = pool_.try_acquire_until(until, preferred_domain()))
-          lease = std::move(*opt);
-      } else {
-        // grind-lint: allow(untimed-acquire) reachable only when the query
-        // carries no deadline AND cfg_.lease_timeout is 0 — the caller asked
-        // for an unbounded wait, and shutdown()'s pool close() still wakes it.
-        lease = pool_.acquire(preferred_domain());
-      }
-      if (!lease.valid()) {
-        r = pool_.closed()
-                ? unrun_result(algorithm, QueryStatus::kCancelled,
-                               "service shutdown")
-                : (token != nullptr && token->should_stop()
-                       ? unrun_result(algorithm, status_of(token->state()),
-                                      "deadline exceeded waiting for workspace")
-                       : unrun_result(algorithm, QueryStatus::kShed,
-                                      "workspace lease timeout"));
-      }
-    } catch (const std::bad_alloc&) {
-      r = unrun_result(algorithm, QueryStatus::kError,
-                       "workspace allocation failed");
-    }
-  }
-  if (lease.valid()) {
     GRIND_FAULT_STALL("service.worker-stall");
-    r = execute(job.prep, job.token, *lease, queue_depth());
-    lease.release();  // return the workspace before the future wakes waiters
+    r = execute(job.prep, job.token, ws, queue_depth());
     maybe_cache(job.prep, r);
   }
   r.queue_seconds = seconds_between(job.enqueued, start);
@@ -423,6 +376,9 @@ QueryResult GraphService::execute(
   opts.cancel = token;
   engine::Engine eng(prep.entry->graph(), opts, ws);
   try {
+    // Stands in for any allocation failure inside a query: it fails this
+    // query with kError, never the worker.
+    if (GRIND_FAULT_FIRE("service.execute-alloc")) throw std::bad_alloc();
     // prepare() already resolved the schema (defaults + per-graph source +
     // range checks); only the overload clamp can still rewrite the bag.
     algorithms::Params params = prep.resolved;

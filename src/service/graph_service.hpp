@@ -8,12 +8,11 @@
 //   * a ResultCache of completed deterministic results keyed by
 //     (graph, epoch, algorithm, canonical params fingerprint) — see
 //     result_cache.hpp; hits resolve on the submitter's thread without a
-//     queue slot or a workspace lease,
-//   * a WorkspacePool of TraversalWorkspace instances (lazily grown up to a
-//     cap) so concurrent queries never share mutable scratch —
-//     TraversalWorkspace is graph-agnostic (buffers keyed by size), so one
-//     pool serves every catalog entry,
-//   * a fixed set of worker threads draining a submission queue.
+//     queue slot or a worker,
+//   * a fixed set of worker threads draining a submission queue, each
+//     owning one TraversalWorkspace for its lifetime, so concurrent queries
+//     never share mutable scratch — TraversalWorkspace is graph-agnostic
+//     (buffers keyed by size), so one workspace serves every catalog entry.
 //
 // Queries address {graph, algorithm, params}: the graph by catalog name
 // (empty = the default graph, so single-graph callers never name one), the
@@ -37,9 +36,8 @@
 //     within one iteration boundary (one partition sweep for long single
 //     iterations);
 //   * admission control never blocks the submitter: a full queue sheds
-//     immediately (max_queue_depth), a stale queue entry sheds at dequeue
-//     (admission_timeout), and a worker waits at most lease_timeout for
-//     scratch (try_acquire_until) so it can never wedge on the pool;
+//     immediately (max_queue_depth) and a stale queue entry sheds at
+//     dequeue (admission_timeout);
 //   * past Overload::queue_watermark queued entries, iterative algorithms'
 //     iteration caps are clamped (degrading accuracy before availability);
 //     clamped results carry QueryResult::degraded.
@@ -50,15 +48,16 @@
 //     work lists, the default source) is materialised eagerly at build /
 //     service-construction time, never on first traversal;
 //   * each in-flight query gets a private Engine (a few words: options +
-//     stats + orientation) bound to a workspace leased from the pool, so
+//     stats + orientation) bound to its worker's own workspace, so
 //     per-query mutable state is thread-confined;
 //   * workers run their queries under a ThreadLimitGuard(threads_per_query),
 //     which limits OpenMP parallelism for that thread only — concurrency
 //     across queries, not oversubscription within them;
 //   * workers are pinned round-robin to the graph's NUMA domains
 //     (DomainPinGuard): worker i's home is NumaModel::domain_of_thread(i),
-//     so its traversals visit home-domain partitions first and its
-//     workspace leases prefer scratch last used on the same domain.
+//     so its traversals visit home-domain partitions first, and its
+//     workspace is built after the pin, so the worker's own thread
+//     first-touches its scratch on that domain.
 //
 // submit() is the one execution path: it queues one query and returns a
 // future.  run_batch() is a convenience over it (submit all, wait all).
@@ -78,10 +77,10 @@
 #include "algorithms/params.hpp"
 #include "algorithms/registry.hpp"
 #include "engine/options.hpp"
+#include "engine/workspace.hpp"
 #include "graph/graph.hpp"
 #include "service/graph_catalog.hpp"
 #include "service/result_cache.hpp"
-#include "service/workspace_pool.hpp"
 #include "sys/cancel.hpp"
 #include "sys/thread_safety.hpp"
 #include "sys/types.hpp"
@@ -144,7 +143,7 @@ struct QueryResult {
   /// True when the overload policy clamped this query's iteration cap.
   bool degraded = false;
   /// True when the value came from the result cache — no execution, no
-  /// workspace lease; `seconds` and `iterations_done` stay 0.
+  /// worker; `seconds` and `iterations_done` stay 0.
   bool cached = false;
   std::string error;              ///< non-empty ⇔ status != kOk
 
@@ -154,10 +153,6 @@ struct QueryResult {
 struct ServiceConfig {
   /// Worker threads executing queries (≥ 1).
   std::size_t workers = 4;
-  /// WorkspacePool cap; 0 = same as workers (every worker can hold a lease
-  /// simultaneously).  A smaller cap throttles concurrency below the worker
-  /// count — workers block in acquire() — which the stress tests exercise.
-  std::size_t pool_capacity = 0;
   /// OpenMP parallelism per query (ThreadLimitGuard on each worker).  The
   /// throughput default is 1: concurrency across queries, serial inside.
   int threads_per_query = 1;
@@ -171,10 +166,6 @@ struct ServiceConfig {
   /// when the tier is saturated, serving a stale query only makes every
   /// queued one later.  0 = disabled.
   std::chrono::milliseconds admission_timeout{0};
-  /// Longest a worker waits for a workspace lease before shedding the query
-  /// (kShed).  0 = wait indefinitely (bounded in practice by the query's
-  /// own deadline, which also caps the wait when set).
-  std::chrono::milliseconds lease_timeout{0};
 
   /// Graceful degradation: when more than `queue_watermark` entries are
   /// queued, iterative algorithms' iteration caps ("iterations",
@@ -281,16 +272,12 @@ class GraphService {
       std::vector<QueryRequest> reqs);
 
   /// Stop the service: queries still queued resolve kCancelled, in-flight
-  /// queries run to completion, blocked pool waits wake, workers join.
+  /// queries run to completion, workers join.
   /// Idempotent; the destructor calls it.  Further submit()/run_batch()
   /// calls throw.
   void shutdown() GRIND_EXCLUDES(shutdown_m_, queue_m_);
 
   [[nodiscard]] ServiceStats stats() const GRIND_EXCLUDES(stats_m_);
-  [[nodiscard]] const WorkspacePool& pool() const { return pool_; }
-  /// Mutable pool access — robustness tests use it to starve workers by
-  /// holding external leases; production callers have no reason to.
-  [[nodiscard]] WorkspacePool& pool() { return pool_; }
   [[nodiscard]] std::size_t num_workers() const GRIND_EXCLUDES(shutdown_m_) {
     sys::MutexLock lock(shutdown_m_);
     return workers_.size();
@@ -345,18 +332,16 @@ class GraphService {
   /// the terminal result (validation error or cache hit).  Never throws.
   [[nodiscard]] bool prepare(const QueryRequest& req, Prepared* out,
                              QueryResult* early);
-  /// Lease a workspace and execute the dequeued job, then resolve its
-  /// future.  The lease wait is bounded by the query's deadline and
-  /// cfg_.lease_timeout (unbounded only when neither is set); a failed wait
-  /// resolves kShed / kDeadlineExceeded / kCancelled / kError.  The one
-  /// place a query leases a workspace; never throws.
-  void run_one(Job& job);
+  /// Execute the dequeued job on the worker's workspace `ws`, then resolve
+  /// its future; a job whose token already stopped in the queue resolves
+  /// without running.  Never throws.
+  void run_one(Job& job, engine::TraversalWorkspace& ws);
   /// Resolve a queued job with a terminal status without executing it.
   void drop(Job& job, QueryStatus status, const char* why);
   /// Record `r` and hand it to the job's future.
   void finish(Job& job, QueryResult r);
-  /// Run one prepared query on a leased workspace (no locks held); never
-  /// throws.
+  /// Run one prepared query on the worker's workspace (no locks held);
+  /// never throws.
   [[nodiscard]] QueryResult execute(
       const Prepared& prep,
       const std::shared_ptr<const sys::CancelToken>& token,
@@ -380,7 +365,6 @@ class GraphService {
   /// Pin on the default graph's entry for the service lifetime — graph()
   /// and worker NUMA pinning stay valid even if someone evicts "default".
   GraphCatalog::Handle default_handle_;
-  WorkspacePool pool_;
 
   mutable sys::Mutex queue_m_;
   sys::CondVar queue_cv_;

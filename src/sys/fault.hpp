@@ -9,9 +9,9 @@
 // stall().
 //
 // Registered sites:
-//   "pool.workspace-alloc"  WorkspacePool workspace creation throws bad_alloc
-//   "service.worker-stall"  worker sleeps before executing a query
-//   "engine.poll-cancel"    edge_map entry poll acts as if the token fired
+//   "service.execute-alloc"  a query's execution throws bad_alloc on entry
+//   "service.worker-stall"   worker sleeps before executing a query
+//   "engine.poll-cancel"     edge_map entry poll acts as if the token fired
 #pragma once
 
 #ifdef GRIND_FAULT_INJECT

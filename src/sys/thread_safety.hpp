@@ -1,12 +1,11 @@
 // Machine-checked locking contracts: Clang Thread Safety Analysis macros
 // plus thin annotated wrappers over the std synchronisation primitives.
 //
-// The serving tier holds several hand-disciplined mutexes (WorkspacePool,
-// GraphService queue/shutdown/stats, GraphCatalog + its eviction ledger,
-// ResultCache, the fault registry, NumaArenas), and its worst recent bug —
-// PR 8's untimed pool acquire that bypassed lease_timeout and wedged
-// deadline-carrying batches — is exactly the class of defect a compile-time
-// locking contract catches before TSan ever runs.  This header makes the
+// The serving tier holds several hand-disciplined mutexes (GraphService
+// queue/shutdown/stats, GraphCatalog + its eviction ledger, ResultCache,
+// the fault registry, NumaArenas), and a lock taken or skipped on the
+// wrong path is exactly the class of defect a compile-time locking
+// contract catches before TSan ever runs.  This header makes the
 // conventions *checkable*:
 //
 //   * every guarded member is declared `GRIND_GUARDED_BY(m_)` — reading or

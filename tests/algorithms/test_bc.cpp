@@ -36,8 +36,9 @@ TEST_P(BcLayouts, DependenciesMatchBrandesOnRmat) {
   expect_bc_match(el, r, 0);
 }
 
-// kPartitionedCsr excluded: the transpose path maps it to COO (no pruned
-// transpose layout exists), which the ForcedCoo case already covers.
+// kPartitionedCsr excluded: this graph is built without the pruned CSR,
+// which the forward BFS phase would need; the transposed phase maps every
+// non-sparse sweep to the backward gather, which kBackwardCsc covers.
 INSTANTIATE_TEST_SUITE_P(Layouts, BcLayouts,
                          ::testing::Values(Layout::kAuto, Layout::kSparseCsr,
                                            Layout::kBackwardCsc,

@@ -1,6 +1,6 @@
 // ResultCache tests: the canonical Params fingerprint, LRU bounds, and the
 // GraphService cache contract — hits are bit-identical shared AnyResults
-// served without a workspace lease, keys cover every deterministic registry
+// served without a worker, keys cover every deterministic registry
 // entry (registry-iterated, no hand-kept lists), and an epoch bump forces a
 // cold re-run.  The concurrency tests are TSan targets.
 #include "service/result_cache.hpp"
@@ -9,12 +9,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "algorithms/params.hpp"
 #include "algorithms/registry.hpp"
+#include "common/service_wedge.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "service/graph_service.hpp"
@@ -114,15 +116,14 @@ TEST(ResultCache, DisabledCacheNeverStoresOrCounts) {
 
 // ---- GraphService cache contract --------------------------------------
 
-TEST(ResultCache, ServiceHitNeedsNoWorkspaceLease) {
+TEST(ResultCache, ServiceHitResolvesWhileTheOnlyWorkerIsWedged) {
   // Acceptance: a repeated deterministic query is served from cache — hit
-  // counter increments and no workspace lease is taken.  Proven the hard
-  // way: after priming, the pool is fully leased by a hostage, so the
-  // repeat can ONLY resolve via the cache (a short deadline turns a
-  // regression into a fast structured failure instead of a hang).
+  // counter increments and no worker runs it.  Proven the hard way: after
+  // priming, the only worker is held by a wedge query, so the repeat can
+  // ONLY resolve via the cache (the bounded wait turns a regression into a
+  // fast failure instead of a hang).
   ServiceConfig cfg;
   cfg.workers = 1;
-  cfg.pool_capacity = 1;
   cfg.result_cache_capacity = 16;
   GraphService svc(make_graph(), cfg);
 
@@ -131,22 +132,23 @@ TEST(ResultCache, ServiceHitNeedsNoWorkspaceLease) {
   ASSERT_TRUE(cold.ok()) << cold.error;
   EXPECT_FALSE(cold.cached);
 
-  auto hostage = svc.pool().acquire();
-  const std::uint64_t leases_before = svc.pool().total_leases();
+  grind::testing::Wedge wedge(svc);
+  auto again = svc.submit(QueryRequest("PR"));
+  const bool resolved = again.wait_for(std::chrono::seconds(5)) ==
+                        std::future_status::ready;
+  wedge.release();
+  ASSERT_TRUE(resolved) << "cache hit waited for the worker";
+  const QueryResult hit = again.get();
 
-  QueryRequest again("PR");
-  again.deadline = std::chrono::milliseconds(500);
-  const QueryResult hit = svc.submit(std::move(again)).get();
-  hostage.release();
-
-  ASSERT_TRUE(hit.ok()) << "cache hit should not need the pool: " << hit.error;
+  ASSERT_TRUE(hit.ok()) << hit.error;
   EXPECT_TRUE(hit.cached);
-  EXPECT_EQ(svc.pool().total_leases(), leases_before);
   EXPECT_EQ(hit.value.id(), cold.value.id());  // the same shared payload
+  EXPECT_EQ(wedge.get().status, QueryStatus::kCancelled);
 
   const ServiceStats st = svc.stats();
   EXPECT_EQ(st.cache_hits, 1u);
-  EXPECT_EQ(st.cache_misses, 1u);
+  // The prime's miss; the wedge (a PR with other parameters) misses too.
+  EXPECT_EQ(st.cache_misses, 2u);
   EXPECT_EQ(st.per_graph.at(GraphService::kDefaultGraphName).cache_hits, 1u);
 }
 

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "algorithms/pagerank.hpp"
+#include "common/service_wedge.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "sys/cancel.hpp"
@@ -22,21 +23,14 @@
 namespace grind::service {
 namespace {
 
+using grind::testing::long_pagerank;
+using grind::testing::Wedge;
 using std::chrono::milliseconds;
 
 graph::Graph build_test_graph() {
   graph::BuildOptions opts;
   opts.num_partitions = 8;
   return graph::Graph::build(graph::rmat(9, 8, 2026), opts);
-}
-
-/// A PR request big enough that it cannot finish inside a short deadline:
-/// each iteration is one full |E| sweep, and the iteration count (the
-/// schema's maximum) bounds the total run way past any test deadline.
-QueryRequest long_pagerank(int iterations = 1000000) {
-  QueryRequest req("PR");
-  req.params.set("iterations", iterations);
-  return req;
 }
 
 TEST(ServiceDeadline, ShortDeadlineResolvesDeadlineExceededWithProgress) {
@@ -79,7 +73,6 @@ TEST(ServiceDeadline, BeliefPropagationHonoursADeadline) {
   EXPECT_TRUE(r.value.empty());
   EXPECT_GT(r.iterations_done, 0);
   EXPECT_LT(r.seconds, 30.0);  // generous bound for sanitizer jobs
-  EXPECT_EQ(svc.pool().in_use(), 0u);
 }
 
 TEST(ServiceDeadline, ExternalCancelStopsARunningQuery) {
@@ -118,42 +111,39 @@ TEST(ServiceDeadline, PreCancelledTokenNeverExecutes) {
 }
 
 TEST(ServiceDeadline, DeadlineCoversQueueWait) {
-  // One worker, its only workspace held hostage by an external lease: the
-  // query can never start, so its deadline must fire *while queued* and the
-  // future must still resolve (deadline measured from submission, not from
-  // execution start).
+  // One worker, held by a wedge query: the query below cannot start before
+  // its deadline passes, so it must resolve kDeadlineExceeded without
+  // running once the worker frees up (deadline measured from submission,
+  // not from execution start).
   ServiceConfig cfg;
   cfg.workers = 1;
-  cfg.pool_capacity = 1;
   GraphService svc(build_test_graph(), cfg);
-  auto hostage =
-      svc.pool().acquire();  // starve the worker
+  Wedge wedge(svc);
 
   QueryRequest req("CC");
   req.deadline = milliseconds(100);
-  const QueryResult r = svc.submit(std::move(req)).get();
+  auto fut = svc.submit(std::move(req));
+  std::this_thread::sleep_for(milliseconds(150));
+  wedge.release();
+
+  const QueryResult r = fut.get();
   EXPECT_EQ(r.status, QueryStatus::kDeadlineExceeded);
+  EXPECT_NE(r.error.find("in queue"), std::string::npos) << r.error;
   EXPECT_EQ(r.iterations_done, 0);
-  EXPECT_GT(r.queue_seconds + r.seconds, 0.0);
-  hostage.release();
+  EXPECT_EQ(r.seconds, 0.0);
+  EXPECT_GE(r.queue_seconds, 0.1);
+  EXPECT_EQ(wedge.get().status, QueryStatus::kCancelled);
 }
 
 TEST(ServiceDeadline, FullQueueShedsImmediatelyAndAdmittedQueriesStillServe) {
-  // Saturation: 1 worker wedged on a hostage workspace lease, a queue capped
-  // at 2.  Every submit past the cap must resolve kShed without blocking,
-  // and the admitted queries must complete once the workspace frees up.
+  // Saturation: 1 worker held by a wedge query, a queue capped at 2.
+  // Every submit past the cap must resolve kShed without blocking, and the
+  // admitted queries must complete once the worker frees up.
   ServiceConfig cfg;
   cfg.workers = 1;
-  cfg.pool_capacity = 1;
   cfg.max_queue_depth = 2;
   GraphService svc(build_test_graph(), cfg);
-  auto hostage = svc.pool().acquire();
-
-  // The worker dequeues at most one entry (then blocks acquiring scratch);
-  // give it time to do so, so the queue depths below are deterministic.
-  auto running = svc.submit(QueryRequest("CC"));
-  while (svc.queue_depth() > 0)
-    std::this_thread::sleep_for(milliseconds(1));
+  Wedge wedge(svc);
 
   auto queued1 = svc.submit(QueryRequest("CC"));
   auto queued2 = svc.submit(QueryRequest("CC"));
@@ -170,12 +160,11 @@ TEST(ServiceDeadline, FullQueueShedsImmediatelyAndAdmittedQueriesStillServe) {
   }
   EXPECT_EQ(svc.stats().queries_shed, 4u);
 
-  // Release the hostage: the tier keeps serving everything it admitted.
-  hostage.release();
-  EXPECT_TRUE(running.get().ok());
+  // Release the wedge: the tier keeps serving everything it admitted.
+  wedge.release();
+  EXPECT_EQ(wedge.get().status, QueryStatus::kCancelled);
   EXPECT_TRUE(queued1.get().ok());
   EXPECT_TRUE(queued2.get().ok());
-  EXPECT_EQ(svc.pool().in_use(), 0u);
 }
 
 TEST(ServiceDeadline, AdmissionTimeoutShedsStaleQueueEntries) {
@@ -183,53 +172,33 @@ TEST(ServiceDeadline, AdmissionTimeoutShedsStaleQueueEntries) {
   // admission timeout; at dequeue they shed instead of executing.
   ServiceConfig cfg;
   cfg.workers = 1;
-  cfg.pool_capacity = 1;
   cfg.admission_timeout = milliseconds(50);
   GraphService svc(build_test_graph(), cfg);
-  auto hostage = svc.pool().acquire();
-
-  auto running = svc.submit(QueryRequest("CC"));
-  while (svc.queue_depth() > 0)
-    std::this_thread::sleep_for(milliseconds(1));
+  Wedge wedge(svc);  // dequeued before it went stale
   auto stale = svc.submit(QueryRequest("CC"));
 
   std::this_thread::sleep_for(milliseconds(120));
-  hostage.release();
+  wedge.release();
 
-  EXPECT_TRUE(running.get().ok());  // dequeued before it went stale
+  EXPECT_EQ(wedge.get().status, QueryStatus::kCancelled);
   const QueryResult r = stale.get();
   EXPECT_EQ(r.status, QueryStatus::kShed);
   EXPECT_NE(r.error.find("admission"), std::string::npos) << r.error;
-}
-
-TEST(ServiceDeadline, LeaseTimeoutShedsInsteadOfWedgingTheWorker) {
-  ServiceConfig cfg;
-  cfg.workers = 1;
-  cfg.pool_capacity = 1;
-  cfg.lease_timeout = milliseconds(50);
-  GraphService svc(build_test_graph(), cfg);
-  auto hostage = svc.pool().acquire();
-
-  const QueryResult r = svc.submit(QueryRequest("CC")).get();
-  EXPECT_EQ(r.status, QueryStatus::kShed);
-  EXPECT_NE(r.error.find("lease"), std::string::npos) << r.error;
-
-  hostage.release();
+  // The worker survives its shed: the next query runs.
   EXPECT_TRUE(svc.submit(QueryRequest("CC")).get().ok());
 }
 
 TEST(ServiceDeadline, OverloadWatermarkClampsIterationsAndFlagsDegraded) {
-  // One worker wedged on a hostage lease while three PR queries pile up.
-  // When the first admitted query finally runs, two more are still queued —
+  // One worker held by a wedge query while three PR queries pile up.
+  // When the first of them finally runs, two more are still queued —
   // depth 2 > watermark 1 — so its iteration cap is clamped from 50 to 3.
   // By the time the last one runs the queue is empty: full accuracy.
   ServiceConfig cfg;
   cfg.workers = 1;
-  cfg.pool_capacity = 1;
   cfg.overload.queue_watermark = 1;
   cfg.overload.max_iterations = 3;
   GraphService svc(build_test_graph(), cfg);
-  auto hostage = svc.pool().acquire();
+  Wedge wedge(svc);  // started with an empty queue: never clamped
 
   auto pr = [] {
     QueryRequest q("PR");
@@ -239,7 +208,7 @@ TEST(ServiceDeadline, OverloadWatermarkClampsIterationsAndFlagsDegraded) {
   auto a = svc.submit(pr());
   auto b = svc.submit(pr());
   auto c = svc.submit(pr());
-  hostage.release();
+  wedge.release();
 
   const QueryResult ra = a.get();
   const QueryResult rb = b.get();
@@ -253,6 +222,7 @@ TEST(ServiceDeadline, OverloadWatermarkClampsIterationsAndFlagsDegraded) {
   EXPECT_FALSE(rc.degraded);
   EXPECT_EQ(rc.value.as<algorithms::PageRankResult>().iterations, 50);
   EXPECT_GE(svc.stats().queries_degraded, 1u);
+  EXPECT_EQ(wedge.get().status, QueryStatus::kCancelled);
 }
 
 TEST(ServiceDeadline, BatchRequestsHonourPerRequestDeadlines) {
@@ -270,77 +240,40 @@ TEST(ServiceDeadline, BatchRequestsHonourPerRequestDeadlines) {
   EXPECT_TRUE(results[1].ok()) << results[1].error;
 }
 
-TEST(ServiceDeadline, BatchLeaseWaitHonoursDeadlinesAgainstStarvedPool) {
-  // Regression: run_batch once leased through a path of its own that used
-  // an *untimed* pool_.acquire(), ignoring both lease_timeout and the
-  // queries' own deadlines — a fully-leased pool wedged the batch (and its
-  // worker) forever.  Batch queries now run through submit()'s bounded
-  // lease wait: every deadline-carrying future below must resolve on its
-  // own, before the hostage lease is ever returned.
+TEST(ServiceDeadline, BatchDeadlinesCoverQueueWaitBehindABusyWorker) {
+  // Batch queries are admitted through submit(), so their deadlines start
+  // at admission too: queued behind a wedge query until every deadline has
+  // passed, they resolve kDeadlineExceeded without running once the worker
+  // frees up.
   ServiceConfig cfg;
   cfg.workers = 1;
-  cfg.pool_capacity = 1;
   GraphService svc(build_test_graph(), cfg);
-  auto hostage = svc.pool().acquire();
-  ASSERT_TRUE(hostage.valid());
+  Wedge wedge(svc);
 
   std::vector<QueryRequest> reqs;
   for (int i = 0; i < 3; ++i) {
     reqs.push_back(long_pagerank());
-    reqs.back().deadline = milliseconds(150);
+    reqs.back().deadline = milliseconds(100);
   }
   auto fut = std::async(std::launch::async, [&svc, &reqs] {
     return svc.run_batch(std::move(reqs));
   });
-  // Generous bound for sanitizer jobs; pre-fix this blocks until the
-  // hostage release below, so the wait times out and the test fails
-  // instead of hanging the harness.
-  const bool resolved = fut.wait_for(std::chrono::seconds(20)) ==
-                        std::future_status::ready;
-  hostage.release();
-  ASSERT_TRUE(resolved)
-      << "run_batch wedged on an untimed pool acquire with all deadlines set";
+  while (svc.queue_depth() < 3) std::this_thread::yield();
+  std::this_thread::sleep_for(milliseconds(150));
+  wedge.release();
 
+  // Generous bound for sanitizer jobs: a hang fails here instead of
+  // wedging the harness.
+  ASSERT_EQ(fut.wait_for(std::chrono::seconds(30)),
+            std::future_status::ready);
   const auto results = fut.get();
   ASSERT_EQ(results.size(), 3u);
-  // The first query fails the bounded lease wait ("waiting for workspace");
-  // later ones find their tokens already expired at the per-query
-  // pre-check ("in queue").  Either way: kDeadlineExceeded, never a hang.
   for (const QueryResult& r : results) {
     EXPECT_EQ(r.status, QueryStatus::kDeadlineExceeded) << r.error;
-    EXPECT_FALSE(r.error.empty());
+    EXPECT_EQ(r.iterations_done, 0);
+    EXPECT_GE(r.queue_seconds, 0.1);
   }
-}
-
-TEST(ServiceDeadline, BatchLeaseTimeoutShedsLikeSubmit) {
-  // Same resolution matrix as submit(): with no deadlines but a configured
-  // lease_timeout, a starved pool sheds each query instead of wedging.
-  ServiceConfig cfg;
-  cfg.workers = 1;
-  cfg.pool_capacity = 1;
-  cfg.lease_timeout = milliseconds(50);
-  GraphService svc(build_test_graph(), cfg);
-  auto hostage = svc.pool().acquire();
-
-  std::vector<QueryRequest> reqs;
-  reqs.emplace_back("CC");
-  reqs.emplace_back("CC");
-  auto fut = std::async(std::launch::async, [&svc, &reqs] {
-    return svc.run_batch(std::move(reqs));
-  });
-  const bool resolved = fut.wait_for(std::chrono::seconds(20)) ==
-                        std::future_status::ready;
-  hostage.release();
-  ASSERT_TRUE(resolved) << "run_batch ignored lease_timeout";
-
-  const auto results = fut.get();
-  ASSERT_EQ(results.size(), 2u);
-  for (const QueryResult& r : results) {
-    EXPECT_EQ(r.status, QueryStatus::kShed) << r.error;
-    EXPECT_NE(r.error.find("lease"), std::string::npos) << r.error;
-  }
-  // The pool is whole again afterwards.
-  EXPECT_TRUE(svc.run_batch({QueryRequest("CC")})[0].ok());
+  EXPECT_EQ(wedge.get().status, QueryStatus::kCancelled);
 }
 
 TEST(ServiceDeadline, BatchShedsPerQueryLikeSubmit) {
@@ -349,14 +282,9 @@ TEST(ServiceDeadline, BatchShedsPerQueryLikeSubmit) {
   // batch queue and the last two shed "queue full".
   ServiceConfig cfg;
   cfg.workers = 1;
-  cfg.pool_capacity = 1;
   cfg.max_queue_depth = 2;
   GraphService svc(build_test_graph(), cfg);
-  auto hostage = svc.pool().acquire();
-
-  // Wedge the worker: it pops this query, then blocks on the hostage lease.
-  auto first = svc.submit(QueryRequest("CC"));
-  while (svc.queue_depth() > 0) std::this_thread::yield();
+  Wedge wedge(svc);
 
   auto batch = std::async(std::launch::async, [&svc] {
     return svc.run_batch(std::vector<QueryRequest>(4, QueryRequest("CC")));
@@ -368,11 +296,11 @@ TEST(ServiceDeadline, BatchShedsPerQueryLikeSubmit) {
   while ((svc.queue_depth() < 2 || svc.stats().queries_shed < 2) &&
          std::chrono::steady_clock::now() < give_up)
     std::this_thread::sleep_for(milliseconds(1));
-  hostage.release();
+  wedge.release();
 
   ASSERT_EQ(batch.wait_for(std::chrono::seconds(30)),
             std::future_status::ready);
-  EXPECT_TRUE(first.get().ok());
+  EXPECT_EQ(wedge.get().status, QueryStatus::kCancelled);
   const auto results = batch.get();
   ASSERT_EQ(results.size(), 4u);
   for (std::size_t i = 0; i < 2; ++i)
@@ -390,20 +318,15 @@ TEST(ServiceDeadline, AdmissionTimeoutShedStampsRealQueueWait) {
   // the overloaded-tail latencies the service percentiles exist to report.
   ServiceConfig cfg;
   cfg.workers = 1;
-  cfg.pool_capacity = 1;
   cfg.admission_timeout = milliseconds(50);
   GraphService svc(build_test_graph(), cfg);
-  auto hostage = svc.pool().acquire();
-
-  auto running = svc.submit(QueryRequest("CC"));
-  while (svc.queue_depth() > 0)
-    std::this_thread::sleep_for(milliseconds(1));
+  Wedge wedge(svc);
   auto stale = svc.submit(QueryRequest("CC"));
 
   std::this_thread::sleep_for(milliseconds(120));
-  hostage.release();
+  wedge.release();
 
-  EXPECT_TRUE(running.get().ok());
+  EXPECT_EQ(wedge.get().status, QueryStatus::kCancelled);
   const QueryResult r = stale.get();
   ASSERT_EQ(r.status, QueryStatus::kShed);
   // It sat in queue for the whole admission window (at least).
@@ -416,22 +339,24 @@ TEST(ServiceDeadline, ShutdownCancelledQueueEntryStampsQueueWait) {
   // real wait, not 0.
   ServiceConfig cfg;
   cfg.workers = 1;
-  cfg.pool_capacity = 1;
   GraphService svc(build_test_graph(), cfg);
-  auto hostage = svc.pool().acquire();
+  Wedge wedge(svc);
 
-  auto wedged = svc.submit(QueryRequest("CC"));
   auto queued = svc.submit(QueryRequest("CC"));
   std::this_thread::sleep_for(milliseconds(30));
-  svc.shutdown();
-  hostage.release();
-
-  // The first query was dequeued and is blocked on the (closed) pool; it
-  // resolves kCancelled through the lease path.
-  EXPECT_EQ(wedged.get().status, QueryStatus::kCancelled);
+  // shutdown() joins the busy worker, so it runs on a helper thread; the
+  // queued entry resolves as soon as shutdown() steals the queue.
+  std::thread stopper([&svc] { svc.shutdown(); });
+  const bool resolved = queued.wait_for(std::chrono::seconds(30)) ==
+                        std::future_status::ready;
+  wedge.release();
+  stopper.join();
+  ASSERT_TRUE(resolved) << "queued entry resolved only after the worker";
   const QueryResult r = queued.get();
+
   ASSERT_EQ(r.status, QueryStatus::kCancelled);
   EXPECT_GE(r.queue_seconds, 0.02);
+  EXPECT_EQ(wedge.get().status, QueryStatus::kCancelled);
 }
 
 TEST(ServiceDeadline, BatchQueueSecondsAreMonotonicWithinASlice) {

@@ -1,8 +1,8 @@
 // Fault-injection suite: arms sys/fault.hpp sites inside the service and
 // proves the robustness contract holds under every injected failure — no
-// deadlock, no leaked workspace lease, correct QueryStatus codes.  The CI
-// fault job runs this file under TSan with -DGRIND_FAULT_INJECT=ON; without
-// that definition the whole file compiles away.
+// deadlock, no worker lost to a failed query, correct QueryStatus codes.
+// The CI fault job runs this file under TSan with -DGRIND_FAULT_INJECT=ON;
+// without that definition the whole file compiles away.
 #ifdef GRIND_FAULT_INJECT
 
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <future>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -69,35 +70,33 @@ TEST_F(ServiceFault, RegistryCountersAndScriptedTriggers) {
   }
 }
 
-TEST_F(ServiceFault, WorkspaceAllocFailureFailsQueryWithoutLeakingCapacity) {
-  // The first workspace creation throws bad_alloc; the query must fail
-  // cleanly (kError) and the pool must NOT leak the capacity slot — the
-  // next query creates the workspace and succeeds.
+TEST_F(ServiceFault, ExecuteAllocFailureFailsQueryNotWorker) {
+  // The first query's execution throws bad_alloc on entry; the query must
+  // fail cleanly (kError) and the worker must survive — the next query on
+  // the same (only) worker succeeds.
   sys::fault::Spec spec;
   spec.limit = 1;
-  sys::fault::arm("pool.workspace-alloc", spec);
+  sys::fault::arm("service.execute-alloc", spec);
 
   ServiceConfig cfg;
   cfg.workers = 1;
-  cfg.pool_capacity = 1;
   GraphService svc(build_test_graph(), cfg);
 
   const QueryResult r = svc.submit(QueryRequest("CC")).get();
   EXPECT_EQ(r.status, QueryStatus::kError);
-  EXPECT_FALSE(r.error.empty());
-  EXPECT_EQ(svc.pool().in_use(), 0u);
-  EXPECT_EQ(svc.pool().created(), 0u);  // failed create claimed no slot
+  EXPECT_NE(r.error.find("allocation"), std::string::npos) << r.error;
+  EXPECT_TRUE(r.value.empty());
+  EXPECT_EQ(sys::fault::triggered("service.execute-alloc"), 1u);
 
   const QueryResult ok = svc.submit(QueryRequest("CC")).get();
   EXPECT_TRUE(ok.ok()) << ok.error;
-  EXPECT_EQ(svc.pool().created(), 1u);
-  EXPECT_EQ(svc.pool().in_use(), 0u);
+  EXPECT_EQ(svc.stats().queries_failed, 1u);
 }
 
 TEST_F(ServiceFault, SlowWorkerStallTripsDeadline) {
-  // A 300 ms stall injected between lease acquisition and execution, against
-  // a 100 ms deadline: the query must resolve kDeadlineExceeded (the first
-  // engine poll observes the expired token) and release its lease.
+  // A 300 ms stall injected between dequeue and execution, against a
+  // 100 ms deadline: the query must resolve kDeadlineExceeded (the first
+  // engine poll observes the expired token).
   sys::fault::Spec spec;
   spec.stall_ms = 300;
   spec.limit = 1;
@@ -111,7 +110,6 @@ TEST_F(ServiceFault, SlowWorkerStallTripsDeadline) {
   req.deadline = milliseconds(100);
   const QueryResult r = svc.submit(std::move(req)).get();
   EXPECT_EQ(r.status, QueryStatus::kDeadlineExceeded);
-  EXPECT_EQ(svc.pool().in_use(), 0u);
 
   // The stall was one-shot: the tier is healthy again.
   const QueryResult ok = svc.submit(QueryRequest("CC")).get();
@@ -161,20 +159,19 @@ TEST_F(ServiceFault, MidQueryCancelViaEnginePollSite) {
     EXPECT_EQ(r.iterations_done, c.sweeps);
     EXPECT_GT(r.iterations_done, c.min_progress);
     EXPECT_TRUE(r.value.empty());
-    EXPECT_EQ(svc.pool().in_use(), 0u);
   }
 }
 
-TEST_F(ServiceFault, ChaosSweepLeavesNoLeakedLeasesOrHungFutures) {
+TEST_F(ServiceFault, ChaosSweepLeavesNoHungFutures) {
   // Probabilistic chaos: every site armed at once — allocation failures,
   // stalls, forced cancels — under a concurrent query mix.  The invariants:
-  // every future resolves, every lease returns, the status partition adds
-  // up, and (under the CI TSan job) no data race.
+  // every future resolves, the status partition adds up, the tier serves
+  // again once faults stop, and (under the CI TSan job) no data race.
   {
     sys::fault::Spec alloc;
     alloc.probability = 0.3;
     alloc.seed = 7;
-    sys::fault::arm("pool.workspace-alloc", alloc);
+    sys::fault::arm("service.execute-alloc", alloc);
     sys::fault::Spec stall;
     stall.probability = 0.2;
     stall.stall_ms = 5;
@@ -188,9 +185,7 @@ TEST_F(ServiceFault, ChaosSweepLeavesNoLeakedLeasesOrHungFutures) {
 
   ServiceConfig cfg;
   cfg.workers = 4;
-  cfg.pool_capacity = 2;      // half the workers contend for leases
   cfg.max_queue_depth = 16;
-  cfg.lease_timeout = milliseconds(200);
   GraphService svc(build_test_graph(), cfg);
 
   std::vector<std::future<QueryResult>> futs;
@@ -208,7 +203,6 @@ TEST_F(ServiceFault, ChaosSweepLeavesNoLeakedLeasesOrHungFutures) {
     if (!r.ok()) EXPECT_FALSE(r.error.empty()) << to_string(r.status);
   }
   EXPECT_EQ(resolved, 64u);
-  EXPECT_EQ(svc.pool().in_use(), 0u);
 
   const ServiceStats st = svc.stats();
   EXPECT_EQ(st.queries_completed, 64u);
@@ -221,7 +215,6 @@ TEST_F(ServiceFault, ChaosSweepLeavesNoLeakedLeasesOrHungFutures) {
   // Faults off: the tier recovers completely.
   const QueryResult ok = svc.submit(QueryRequest("CC")).get();
   EXPECT_TRUE(ok.ok()) << ok.error;
-  EXPECT_EQ(svc.pool().in_use(), 0u);
 }
 
 TEST_F(ServiceFault, StallNeverSleepsHoldingTheRegistryMutex) {
@@ -282,11 +275,10 @@ TEST_F(ServiceFault, ShutdownUnderChaosNeverHangs) {
   {
     ServiceConfig cfg;
     cfg.workers = 2;
-    cfg.pool_capacity = 1;
     GraphService svc(build_test_graph(), cfg);
     for (int i = 0; i < 16; ++i)
       futs.push_back(svc.submit(QueryRequest("CC")));
-    svc.shutdown();  // steals the queue, closes the pool, joins workers
+    svc.shutdown();  // steals the queue, joins workers
   }
   for (auto& f : futs) {
     const QueryResult r = f.get();  // resolved, not dropped

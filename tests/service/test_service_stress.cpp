@@ -24,6 +24,7 @@
 #include "algorithms/pagerank.hpp"
 #include "algorithms/spmv.hpp"
 #include "common/expect_vectors.hpp"
+#include "common/service_wedge.hpp"
 #include "engine/engine.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
@@ -142,7 +143,6 @@ TEST(ServiceStress, ManyClientsMixedAlgorithmsMatchSequential) {
   const auto st = svc.stats();
   EXPECT_EQ(st.queries_completed, kClients * kQueriesPerClient);
   EXPECT_EQ(st.queries_failed, 0u);
-  EXPECT_LE(svc.pool().created(), svc.pool().capacity());
 }
 
 TEST(ServiceStress, ConcurrentResultsAreCorrect) {
@@ -167,25 +167,6 @@ TEST(ServiceStress, ConcurrentResultsAreCorrect) {
     }
   }
   for (auto& [src, fut] : pending) check_result(fut.get(), expected, src);
-}
-
-TEST(ServiceStress, PoolSmallerThanWorkersThrottlesButCompletes) {
-  ServiceConfig cfg;
-  cfg.workers = 4;
-  cfg.pool_capacity = 1;  // every query serialises on the single workspace
-  GraphService svc(build_test_graph(), cfg);
-  const auto sources = pick_sources(svc.graph(), 4);
-  const Expected expected = Expected::compute(svc.graph(), sources);
-
-  std::vector<std::pair<vid_t, std::future<QueryResult>>> pending;
-  for (int i = 0; i < 12; ++i) {
-    const vid_t src = sources[i % sources.size()];
-    QueryRequest req = i % 2 == 0 ? make_request("BFS", src)
-                                  : make_request("PR");
-    pending.emplace_back(src, svc.submit(std::move(req)));
-  }
-  for (auto& [src, fut] : pending) check_result(fut.get(), expected, src);
-  EXPECT_EQ(svc.pool().created(), 1u);
 }
 
 TEST(ServiceStress, RunBatchGroupsSameAlgorithmAndPreservesOrder) {
@@ -287,9 +268,8 @@ TEST(ServiceStress, BadSourceReportsErrorWithoutKillingService) {
   EXPECT_NE(r.error.find("source"), std::string::npos) << r.error;
   EXPECT_TRUE(r.value.empty());
 
-  // Service still serves good queries, and the workspace was not leaked.
+  // Service still serves good queries.
   EXPECT_TRUE(svc.submit(make_request("CC")).get().ok());
-  EXPECT_EQ(svc.pool().in_use(), 0u);
   EXPECT_EQ(svc.stats().queries_failed, 1u);
 }
 
@@ -326,48 +306,49 @@ TEST(ServiceStress, RunBatchAfterShutdownThrows) {
 
 TEST(ServiceStress, QueriesQueuedAtShutdownResolveCancelled) {
   // The shutdown contract: entries still queued when shutdown() runs are
-  // cancelled, not executed — and never hung or dropped.  One worker wedged
-  // on a hostage workspace lease guarantees the three submissions below are
-  // still queued (or blocked on the pool) when shutdown fires.
+  // cancelled, not executed — and never hung or dropped.  One worker held
+  // by a wedge query guarantees the three submissions below are still
+  // queued when shutdown fires.
   ServiceConfig cfg;
   cfg.workers = 1;
-  cfg.pool_capacity = 1;
   GraphService svc(build_test_graph(), cfg);
-  auto hostage = svc.pool().acquire();
+  grind::testing::Wedge wedge(svc);
 
   std::vector<std::future<QueryResult>> futs;
   for (int i = 0; i < 3; ++i) futs.push_back(svc.submit(make_request("CC")));
 
-  svc.shutdown();  // must not hang despite the hostage lease
-
-  for (auto& f : futs) {
-    ASSERT_EQ(f.wait_for(std::chrono::seconds(30)),
-              std::future_status::ready);
-    const QueryResult r = f.get();
+  // shutdown() joins the busy worker, so it runs on a helper thread; the
+  // queued entries resolve as soon as it steals the queue, before the
+  // wedge is released.
+  std::thread stopper([&svc] { svc.shutdown(); });
+  std::vector<bool> resolved;
+  for (auto& f : futs)
+    resolved.push_back(f.wait_for(std::chrono::seconds(30)) ==
+                       std::future_status::ready);
+  wedge.release();
+  stopper.join();
+  EXPECT_EQ(wedge.get().status, QueryStatus::kCancelled);
+  for (std::size_t i = 0; i < futs.size(); ++i) {
+    ASSERT_TRUE(resolved[i]) << i;
+    const QueryResult r = futs[i].get();
     EXPECT_EQ(r.status, QueryStatus::kCancelled);
     EXPECT_FALSE(r.error.empty());
     EXPECT_TRUE(r.value.empty());
   }
-  EXPECT_EQ(svc.stats().queries_cancelled, 3u);
-  hostage.release();
+  // The three queued entries plus the released wedge.
+  EXPECT_EQ(svc.stats().queries_cancelled, 4u);
 }
 
 TEST(ServiceStress, ShutdownCancelsQueuedBatchSlices) {
   // run_batch queries queued at shutdown resolve kCancelled instead of
   // leaving the batch caller waiting forever, and so do the ones the batch
   // had not submitted yet when shutdown landed.  The batch runs on a second
-  // thread (it blocks); shutdown fires while its queries sit behind the
-  // hostage lease.
+  // thread (it blocks); shutdown fires, on a third, while its queries sit
+  // behind a wedge query.
   ServiceConfig cfg;
   cfg.workers = 1;
-  cfg.pool_capacity = 1;
   GraphService svc(build_test_graph(), cfg);
-  auto hostage = svc.pool().acquire();
-
-  // Wedge the worker first: it pops this query, then blocks acquiring the
-  // hostage-held workspace — so the batch queries below stay queued.
-  auto first = svc.submit(make_request("CC"));
-  while (svc.queue_depth() > 0) std::this_thread::yield();
+  grind::testing::Wedge wedge(svc);
 
   auto batch = std::async(std::launch::async, [&] {
     std::vector<QueryRequest> reqs(4, make_request("CC"));
@@ -375,13 +356,14 @@ TEST(ServiceStress, ShutdownCancelsQueuedBatchSlices) {
   });
   while (svc.queue_depth() == 0) std::this_thread::yield();
 
-  svc.shutdown();
-  hostage.release();
+  std::thread stopper([&svc] { svc.shutdown(); });
+  const bool resolved = batch.wait_for(std::chrono::seconds(30)) ==
+                        std::future_status::ready;
+  wedge.release();
+  stopper.join();
+  EXPECT_EQ(wedge.get().status, QueryStatus::kCancelled);
+  ASSERT_TRUE(resolved) << "batch resolved only after the worker freed up";
 
-  EXPECT_EQ(first.get().status, QueryStatus::kCancelled);
-
-  ASSERT_EQ(batch.wait_for(std::chrono::seconds(30)),
-            std::future_status::ready);
   const auto results = batch.get();
   ASSERT_EQ(results.size(), 4u);
   for (const auto& r : results) {

@@ -13,7 +13,7 @@
 //                   [--partitioner NAME] [--ppart k=v]...
 //                   [--source V] [--param k=v]... [--threads T]
 //                   [--domains D] [--no-atomics]
-//   ggtool serve    <graph> [--clients N] [--pool-cap N] [--queries N]
+//   ggtool serve    <graph> [--clients N] [--queries N]
 //                   [--script FILE] [--threads-per-query T]
 //                   [--deadline-ms MS] [--max-queue N] [--cache N]
 //                   [--graph NAME=PATH]... [--partitions N] [--order O]
@@ -146,8 +146,8 @@ int usage() {
              "    O = original|degree|hilbert|child (vertex reordering)\n"
              "    P = partitioning strategy (see `ggtool partitioners`)\n"
              "    D = logical NUMA domains of the build (default 4)\n"
-             "  ggtool serve <graph> [--clients N] [--pool-cap N] "
-             "[--queries N] [--script FILE]\n"
+             "  ggtool serve <graph> [--clients N] [--queries N] "
+             "[--script FILE]\n"
              "               [--threads-per-query T] [--deadline-ms MS] "
              "[--max-queue N] [--cache N]\n"
              "               [--graph NAME=PATH]... [--partitions N] "
@@ -735,8 +735,6 @@ int cmd_serve(const std::vector<std::string>& args) {
     };
     if (a == "--clients") {
       cfg.workers = std::stoul(next());
-    } else if (a == "--pool-cap") {
-      cfg.pool_capacity = std::stoul(next());
     } else if (a == "--queries") {
       queries = std::stoul(next());
     } else if (a == "--script") {
@@ -914,8 +912,6 @@ int cmd_serve(const std::vector<std::string>& args) {
                       std::to_string(g.num_edges()) + " edges (built in " +
                       Table::num(build_s, 3) + " s)"});
   t.row({"clients (workers)", Table::num(svc.num_workers())});
-  t.row({"pool capacity", Table::num(svc.pool().capacity())});
-  t.row({"workspaces created", Table::num(svc.pool().created())});
   t.row({"threads per query", Table::num(std::size_t{
              static_cast<std::size_t>(cfg.threads_per_query)})});
   t.row({"queries", Table::num(st.queries_completed)});

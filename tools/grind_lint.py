@@ -5,12 +5,6 @@ Clang's -Wthread-safety proves lock discipline (who holds which mutex where);
 this linter enforces the *repo-specific* concurrency and hot-path invariants
 that sit above any single lock:
 
-  untimed-acquire          no untimed WorkspacePool acquire( outside the pool
-                           itself — the exact bug class of PR 8, where a batch
-                           slice's untimed pool_.acquire() bypassed
-                           lease_timeout and wedged deadline-carrying batches.
-                           (The slice path is gone: run_batch now loops over
-                           submit(), and the service has one lease path.)
   throw-in-omp-parallel    no `throw` lexically inside an `#pragma omp
                            parallel` region — an exception escaping an OpenMP
                            region is std::terminate; kernels early-out and
@@ -70,11 +64,11 @@ that sit above any single lock:
                            builders use the stable counting scatter
                            (sys/parallel.hpp) or std::stable_sort.
   service-engine-unleased  no engine::Engine construction in src/service/
-                           without a leased workspace argument — an Engine
-                           default-allocates private scratch, so a
-                           lease-less construction silently reintroduces
-                           per-query allocation and dodges pool capacity
-                           (admission control's only throttle).
+                           without a workspace argument — an Engine
+                           default-allocates private scratch, so one built
+                           without the worker's workspace silently
+                           reintroduces per-query allocation and scratch
+                           first-touched off the worker's domain.
   tsan-supp-undocumented   every suppression line in tsan.supp carries its
                            own justification comment directly above it —
                            an unexplained suppression is how a real race
@@ -112,7 +106,7 @@ def strip_code(text):
     """Blank out comments and string/char literals, preserving line structure.
 
     Rules match against the stripped text so a `throw` in an error message or
-    an `acquire(` in a doc comment can never false-positive; suppression
+    a `new` in a doc comment can never false-positive; suppression
     comments are searched in the *original* text.
     """
     out = []
@@ -230,34 +224,6 @@ def is_suppressed(violation_idx, rule, lines, allows, errors, path):
 # Rules.  Each rule: id, scope(path)->bool, check(path, text)->[(line0, msg)]
 # where `text` is comment/string-stripped and line0 is 0-based.
 # --------------------------------------------------------------------------
-
-
-def rule_untimed_acquire(path, text):
-    """Flag `.acquire(` / `->acquire(` except try_acquire* variants."""
-    out = []
-    pat = re.compile(r"(\.|->)\s*acquire\s*\(")
-    for idx, line in enumerate(text.splitlines()):
-        for m in pat.finditer(line):
-            # try_acquire / try_acquire_until share the suffix; skip them.
-            before = line[: m.start()]
-            if before.rstrip().endswith("try_") or "try_acquire" in line[m.start() - 4 : m.end()]:
-                continue
-            out.append(
-                (
-                    idx,
-                    "untimed acquire() outside WorkspacePool — use "
-                    "try_acquire_until so lease_timeout/deadlines bound the "
-                    "wait (the PR-8 batch-wedge bug class)",
-                )
-            )
-    return out
-
-
-def scope_untimed_acquire(rel):
-    return (
-        rel.startswith("src/")
-        and rel != "src/service/workspace_pool.hpp"  # the pool itself
-    )
 
 
 def omp_parallel_regions(text):
@@ -490,7 +456,7 @@ def scope_engine_and_frontier(rel):
 ENGINE_CTOR_RE = re.compile(
     r"\bengine::Engine\s+\w+\s*\(([^;]*)\)|\bEngine\s+\w+\s*\(([^;]*)\)"
 )
-WORKSPACE_ARG_RE = re.compile(r"(^|[^\w])(\*?\s*lease|ws|workspace)\b")
+WORKSPACE_ARG_RE = re.compile(r"(^|[^\w])(ws|workspace)\b")
 
 
 def rule_service_engine_unleased(path, text):
@@ -504,10 +470,10 @@ def rule_service_engine_unleased(path, text):
             out.append(
                 (
                     idx,
-                    "engine::Engine constructed in src/service/ without a "
-                    "leased workspace — a lease-less Engine allocates "
-                    "private scratch per query and bypasses WorkspacePool "
-                    "capacity (admission control's only throttle)",
+                    "engine::Engine constructed in src/service/ without "
+                    "the worker's workspace — such an Engine allocates "
+                    "private scratch per query, first-touched off the "
+                    "worker's domain",
                 )
             )
     return out
@@ -552,13 +518,6 @@ class Rule:
 
 
 RULES = [
-    Rule(
-        "untimed-acquire",
-        scope_untimed_acquire,
-        rule_untimed_acquire,
-        False,
-        "no untimed pool acquire( outside WorkspacePool (PR-8 bug class)",
-    ),
     Rule(
         "throw-in-omp-parallel",
         scope_src,
@@ -613,7 +572,7 @@ RULES = [
         scope_service,
         rule_service_engine_unleased,
         False,
-        "no Engine construction in src/service/ without a leased workspace",
+        "no Engine construction in src/service/ without the worker's workspace",
     ),
     Rule(
         "tsan-supp-undocumented",
@@ -690,52 +649,11 @@ def lint_tree(root):
 SELF_TESTS = [
     # (name, relative path, file content, rule id, expect_fire)
     (
-        "untimed-acquire fires on a bare pool acquire",
-        "src/service/batch_runner.cpp",
-        "void f(P& pool_) {\n  auto lease = pool_.acquire(domain);\n}\n",
-        "untimed-acquire",
-        True,
-    ),
-    (
-        "untimed-acquire ignores try_acquire_until",
-        "src/service/batch_runner.cpp",
-        "void f(P& pool_) {\n"
-        "  auto l = pool_.try_acquire_until(deadline, domain);\n"
-        "  auto m = pool_.try_acquire(domain);\n}\n",
-        "untimed-acquire",
-        False,
-    ),
-    (
-        "untimed-acquire exempts the pool's own header",
-        "src/service/workspace_pool.hpp",
-        "Lease acquire(int domain) { return take(domain); }\n",
-        "untimed-acquire",
-        False,
-    ),
-    (
-        "untimed-acquire ignores comments and strings",
-        "src/service/notes.cpp",
-        "// workers block in pool_.acquire() here\n"
-        'const char* msg = "pool_.acquire( timed out";\n',
-        "untimed-acquire",
-        False,
-    ),
-    (
-        "untimed-acquire honours a justified allow comment",
-        "src/service/batch_runner.cpp",
-        "void f(P& pool_) {\n"
-        "  // grind-lint: allow(untimed-acquire) caller asked for an\n"
-        "  // unbounded wait; shutdown close() still wakes it.\n"
-        "  auto lease = pool_.acquire(domain);\n}\n",
-        "untimed-acquire",
-        False,
-    ),
-    (
         "allow without justification is itself an error",
-        "src/service/batch_runner.cpp",
-        "void f(P& pool_) {\n"
-        "  // grind-lint: allow(untimed-acquire)\n"
-        "  auto lease = pool_.acquire(domain);\n}\n",
+        "src/service/runner.cpp",
+        "void f(const graph::Graph& g, engine::Options opts) {\n"
+        "  // grind-lint: allow(service-engine-unleased)\n"
+        "  engine::Engine eng(g, opts);\n}\n",
         "allow-without-justification",
         True,
     ),
@@ -980,7 +898,7 @@ SELF_TESTS = [
         False,
     ),
     (
-        "service-engine-unleased fires on a lease-less Engine",
+        "service-engine-unleased fires on an Engine without a workspace",
         "src/service/runner.cpp",
         "void f(const graph::Graph& g, engine::Options opts) {\n"
         "  engine::Engine eng(g, opts);\n}\n",
@@ -997,10 +915,11 @@ SELF_TESTS = [
         False,
     ),
     (
-        "service-engine-unleased quiet when dereferencing a lease",
+        "service-engine-unleased quiet when dereferencing a workspace",
         "src/service/runner.cpp",
-        "void f(const graph::Graph& g, engine::Options opts, Lease& lease) {\n"
-        "  engine::Engine eng(g, opts, *lease);\n}\n",
+        "void f(const graph::Graph& g, engine::Options opts,\n"
+        "       engine::TraversalWorkspace* workspace) {\n"
+        "  engine::Engine eng(g, opts, *workspace);\n}\n",
         "service-engine-unleased",
         False,
     ),
