@@ -6,6 +6,10 @@
 // Paper shape: GG-v2 wins broadly; the largest gains are on the edge-
 // oriented delta workloads (PRDelta, BP); vertex-oriented gains are a few
 // to ~40 %; USAroad is hard for everyone but GG-v2 still leads.
+//
+// BC's backward pass is a pull over the CSR in the algorithm itself
+// (algorithms/bc.hpp), the same on every engine, so the BC rows compare
+// the systems' forward phase only.
 #include <iostream>
 
 #include "baselines/graphgrind_v1.hpp"

@@ -413,13 +413,15 @@ void audit_bfs(engine::Engine& eng, vid_t source,
   source = g.to_internal(source);
   auto run = [&](bool record) {
     std::vector<vid_t> parent(n, kInvalidVertex);
+    std::vector<std::int64_t> level(n, -1);
     parent[source] = source;
+    level[source] = 0;
     Frontier f = Frontier::single(n, source, &g.csr());
     Timer t;
-    while (!f.empty()) {
+    for (std::int64_t depth = 1; !f.empty(); ++depth) {
       const std::uint64_t before = allocs_now();
-      Frontier next =
-          eng.edge_map(f, algorithms::detail::BfsOp{parent.data()});
+      Frontier next = eng.edge_map(
+          f, algorithms::detail::BfsOp{parent.data(), level.data(), depth});
       if (record) per_round_allocs.push_back(allocs_now() - before);
       eng.recycle(f);
       f = std::move(next);
@@ -490,13 +492,16 @@ void audit_sparse_push(const graph::Graph& g, vid_t source,
   source = g.to_internal(source);
   engine::TraversalWorkspace ws;
   std::vector<vid_t> parent(n);
+  std::vector<std::int64_t> level(n);
   auto run = [&](bool record) {
     std::fill(parent.begin(), parent.end(), kInvalidVertex);
+    std::fill(level.begin(), level.end(), -1);
     parent[source] = source;
+    level[source] = 0;
     Frontier f = Frontier::single(n, source, &g.csr());
-    while (!f.empty()) {
+    for (std::int64_t depth = 1; !f.empty(); ++depth) {
       const std::uint64_t before = allocs_now();
-      algorithms::detail::BfsOp op{parent.data()};
+      algorithms::detail::BfsOp op{parent.data(), level.data(), depth};
       Frontier next = engine::traverse_csr_sparse(g, f, op, nullptr, ws);
       f.into_workspace(ws);
       f = std::move(next);

@@ -5,7 +5,11 @@
 //              paths) per vertex and recording each level's frontier;
 //   backward — Brandes' dependency accumulation δ(v) = Σ_{u ∈ succ(v)}
 //              σ(v)/σ(u) · (1 + δ(u)), processed level by level in reverse
-//              via the engine's transpose edge map.
+//              as a pull: each vertex v of level ℓ reads its CSR out-
+//              neighbours at level ℓ+1 and writes δ(v) once.  One writer
+//              per vertex needs no atomics, and summing in CSR order makes
+//              δ the same at every thread count (§III-C's single-writer
+//              argument, applied without partitioning).
 #pragma once
 
 #include <cstdint>
@@ -32,50 +36,38 @@ struct BcResult {
   std::vector<double> sigma;
   /// BFS level from the source; -1 if unreached.
   std::vector<std::int64_t> level;
-  int rounds = 0;  ///< forward + backward edge-map rounds
+  /// Forward edge-map sweeps plus backward pull levels.
+  int rounds = 0;
 };
 
 namespace detail {
 
-/// Forward phase: accumulate σ along BFS tree edges; first touch claims the
-/// destination for the next level.
+/// Forward phase: accumulate σ along BFS tree edges; the level array is
+/// the claim.  A destination is open while it is unreached or was reached
+/// in this sweep (level == depth), so every predecessor at depth − 1 adds
+/// to σ(d), and the first to reach d records its level.
 struct BcForwardOp {
   double* sigma;
-  const unsigned char* visited;
-  unsigned char* claimed;
+  std::int64_t* level;
+  std::int64_t depth;
 
   bool update(vid_t s, vid_t d, weight_t) {
     sigma[d] += sigma[s];
-    if (claimed[d] == 0) {
-      claimed[d] = 1;
+    if (level[d] < 0) {
+      level[d] = depth;
       return true;
     }
     return false;
   }
   bool update_atomic(vid_t s, vid_t d, weight_t) {
     atomic_add(sigma[d], sigma[s]);
-    return atomic_claim(claimed[d]);
+    return atomic_cas(level[d], std::int64_t{-1}, depth);
   }
-  [[nodiscard]] bool cond(vid_t d) const { return visited[d] == 0; }
-};
-
-/// Backward phase (runs on the transpose): active u at level ℓ+1 push
-/// dependency to predecessors v at level ℓ.
-struct BcBackwardOp {
-  const double* sigma;
-  double* dependency;
-  const std::int64_t* level;
-  std::int64_t target_level;
-
-  bool update(vid_t u, vid_t v, weight_t) {
-    dependency[v] += sigma[v] / sigma[u] * (1.0 + dependency[u]);
-    return false;
+  // Relaxed load: update_atomic CASes the same word from other threads.
+  [[nodiscard]] bool cond(vid_t d) const {
+    const std::int64_t l = atomic_load(level[d]);
+    return l < 0 || l == depth;
   }
-  bool update_atomic(vid_t u, vid_t v, weight_t) {
-    atomic_add(dependency[v], sigma[v] / sigma[u] * (1.0 + dependency[u]));
-    return false;
-  }
-  [[nodiscard]] bool cond(vid_t v) const { return level[v] == target_level; }
 };
 
 }  // namespace detail
@@ -94,13 +86,10 @@ BcResult betweenness_centrality(Eng& eng, vid_t source) {
   const auto saved = eng.orientation();
   eng.set_orientation(engine::Orientation::kVertex);
 
-  std::vector<unsigned char> visited(n, 0);
-  std::vector<unsigned char> claimed(n, 0);
-  // `source` arrives in original-ID space; both sweeps run internal.
+  // `source` arrives in original-ID space; both phases run internal.
   const vid_t src = g.remap().to_internal(source);
   r.sigma[src] = 1.0;
   r.level[src] = 0;
-  visited[src] = 1;
 
   // Forward sweep, recording every level's frontier for the reverse pass.
   std::vector<Frontier> levels;
@@ -108,35 +97,35 @@ BcResult betweenness_centrality(Eng& eng, vid_t source) {
   std::int64_t depth = 0;
   while (!levels.back().empty()) {
     ++depth;
-    Frontier next = eng.edge_map(
+    levels.push_back(eng.edge_map(
         levels.back(),
-        detail::BcForwardOp{r.sigma.data(), visited.data(), claimed.data()});
+        detail::BcForwardOp{r.sigma.data(), r.level.data(), depth}));
     ++r.rounds;
-    engine::vertex_foreach(next, [&](vid_t v) {
-      visited[v] = 1;
-      r.level[v] = depth;
-    });
-    levels.push_back(std::move(next));
   }
   levels.pop_back();  // drop the final empty frontier
 
-  // Reverse sweep: for ℓ = max-1 … 0, vertices at ℓ+1 push to level ℓ.
-  // Each level's frontier is recycled as soon as the sweep is done with it:
-  // the forward pass pinned one bitmap per level, so returning them keeps
-  // the workspace pool warm for the transpose kernels' output frontiers.
+  // Reverse pull: for ℓ = max … 1, each v at level ℓ−1 sums over its
+  // out-neighbours at level ℓ, in CSR order, and writes δ(v) once.
+  const graph::Csr& out = g.csr();
+  const double* sigma = r.sigma.data();
+  const std::int64_t* level = r.level.data();
+  double* dependency = r.dependency.data();
   for (std::size_t l = levels.size(); l-- > 1;) {
-    detail::BcBackwardOp op{r.sigma.data(), r.dependency.data(),
-                            r.level.data(),
-                            static_cast<std::int64_t>(l) - 1};
-    Frontier out = eng.edge_map_transpose(levels[l], op);
+    if constexpr (requires { eng.poll_cancel(); }) eng.poll_cancel();
+    const auto succ = static_cast<std::int64_t>(l);
+    engine::vertex_foreach_by_edges(levels[l - 1], out, [&](vid_t v) {
+      double delta = 0.0;
+      for (const vid_t u : out.neighbors(v))
+        if (level[u] == succ)
+          delta += sigma[v] / sigma[u] * (1.0 + dependency[u]);
+      dependency[v] = delta;
+    });
     ++r.rounds;
-    if constexpr (requires { eng.recycle(out); }) {
-      eng.recycle(out);
-      eng.recycle(levels[l]);
-    }
   }
-  // Levels 1..max were recycled in the sweep; only the source level remains.
-  if constexpr (requires { eng.recycle(levels[0]); }) eng.recycle(levels[0]);
+  // Return the levels' pooled bitmaps and lists to the workspace.
+  if constexpr (requires { eng.recycle(levels[0]); }) {
+    for (Frontier& f : levels) eng.recycle(f);
+  }
 
   eng.set_orientation(saved);
   r.dependency = g.remap().values_to_original(std::move(r.dependency));

@@ -17,7 +17,6 @@
 
 #include "engine/operators.hpp"
 #include "engine/options.hpp"
-#include "engine/vertex_map.hpp"
 #include "frontier/frontier.hpp"
 #include "sys/atomics.hpp"
 #include "sys/types.hpp"
@@ -42,18 +41,25 @@ struct BfsResult {
 
 namespace detail {
 
+/// Claims d for the first source to reach it; the unique winner also
+/// records d's level, so no pass over the output frontier is needed.
 struct BfsOp {
   vid_t* parent;
+  std::int64_t* level;
+  std::int64_t depth;
 
   bool update(vid_t s, vid_t d, weight_t) {
     if (parent[d] == kInvalidVertex) {
       parent[d] = s;
+      level[d] = depth;
       return true;
     }
     return false;
   }
   bool update_atomic(vid_t s, vid_t d, weight_t) {
-    return atomic_cas(parent[d], kInvalidVertex, s);
+    if (!atomic_cas(parent[d], kInvalidVertex, s)) return false;
+    level[d] = depth;
+    return true;
   }
   [[nodiscard]] bool cond(vid_t d) const {
     return parent[d] == kInvalidVertex;
@@ -87,9 +93,9 @@ BfsResult bfs(Eng& eng, vid_t source) {
   std::int64_t depth = 0;
   while (!frontier.empty()) {
     ++depth;
-    Frontier next = eng.edge_map(frontier, detail::BfsOp{r.parent.data()});
+    Frontier next = eng.edge_map(
+        frontier, detail::BfsOp{r.parent.data(), r.level.data(), depth});
     ++r.rounds;
-    engine::vertex_foreach(next, [&](vid_t v) { r.level[v] = depth; });
     r.reached += next.num_active();
     // Retire the outgoing frontier into the engine's workspace so its
     // bitmap/list storage ping-pongs with the next level instead of being

@@ -4,6 +4,11 @@
 
 #include <omp.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
+#include "engine/traverse_csr.hpp"
 #include "engine/workspace.hpp"
 #include "frontier/frontier.hpp"
 #include "graph/graph.hpp"
@@ -28,6 +33,61 @@ void vertex_foreach(const Frontier& f, Fn&& fn) {
   } else {
     const auto verts = f.vertices();
     parallel_for(0, verts.size(), [&](std::size_t i) { fn(verts[i]); });
+  }
+}
+
+/// Apply fn(v) to every active vertex of f where fn(v) reads v's row of
+/// `adj`, as a pull does: the work is split by edge weight, not by vertex
+/// count.  Once f's cached traversal_weight() (|F| + Σ deg⁺) reaches
+/// kSerialCutoff, one parallel region cuts f into edge-balanced slices
+/// with the sparse push's owned_slice (traverse_csr.hpp): a list by
+/// entries, a bitmap by words.  vertex_foreach cuts by vertex count, so
+/// its 2 048-vertex cutoff keeps a lattice level (~1 k vertices, ~4 k
+/// edges) serial, and its static word split leaves a few high-degree
+/// vertices on one thread.
+template <typename Fn>
+void vertex_foreach_by_edges(const Frontier& f, const graph::Csr& adj,
+                             Fn&& fn) {
+  const auto nt = static_cast<std::size_t>(num_threads());
+  if (f.traversal_weight() < kSerialCutoff || nt == 1) {
+    f.for_each(fn);
+    return;
+  }
+  const bool dense = f.is_dense();
+  const std::uint64_t* words = dense ? f.bitmap().words() : nullptr;
+  const auto verts = f.vertices();
+  // Calls g(v) for the active vertices of items [lo, hi): words of a
+  // bitmap, entries of a list.
+  const auto each = [&](std::size_t lo, std::size_t hi, auto&& g) {
+    if (!dense) {
+      for (std::size_t i = lo; i < hi; ++i) g(verts[i]);
+      return;
+    }
+    for (std::size_t w = lo; w < hi; ++w) {
+      for (std::uint64_t word = words[w]; word != 0; word &= word - 1)
+        g(static_cast<vid_t>(w * 64 +
+                             static_cast<std::size_t>(std::countr_zero(word))));
+    }
+  };
+  const std::size_t items = dense ? f.bitmap().num_words() : verts.size();
+  std::vector<eid_t> block_weight(kSliceBlocksPerThread * nt);
+#pragma omp parallel num_threads(static_cast<int>(nt))
+  {
+    // The team may be smaller than nt; the split uses the team it got.
+    const auto team = static_cast<std::size_t>(omp_get_num_threads());
+    const auto t = static_cast<std::size_t>(omp_get_thread_num());
+    const std::size_t blocks = kSliceBlocksPerThread * team;
+    for (std::size_t b = t * kSliceBlocksPerThread;
+         b < (t + 1) * kSliceBlocksPerThread; ++b) {
+      eid_t weight = 0;
+      each(items * b / blocks, items * (b + 1) / blocks,
+           [&](vid_t v) { weight += 1 + adj.degree(v); });
+      block_weight[b] = weight;
+    }
+#pragma omp barrier
+    const auto [begin, end] =
+        owned_slice(block_weight.data(), blocks, items, t, team);
+    each(begin, end, fn);
   }
 }
 

@@ -101,16 +101,17 @@ void Frontier::to_dense(engine::TraversalWorkspace& ws) {
 
 void Frontier::to_sparse(engine::TraversalWorkspace& ws) {
   if (!dense_rep_) return;
-  // Parallel gather: count bits per word-block, prefix-sum, then write.
+  // Parallel gather: count bits per block of words, prefix-sum, then
+  // write.  One block per thread (num_blocks), so any bitmap of at least
+  // kSerialCutoff words is scanned on every thread.
   const std::size_t words = dense_.num_words();
-  constexpr std::size_t kBlock = 512;  // words per block
-  const std::size_t blocks = (words + kBlock - 1) / kBlock;
+  const std::size_t blocks = num_blocks(words);
   std::vector<std::size_t>& block_counts = ws.scratch_counts(blocks);
   std::vector<std::size_t>& block_offsets = ws.scratch_offsets(blocks);
   const std::uint64_t* w = dense_.words();
-  parallel_for(0, blocks, [&](std::size_t b) {
+  parallel_for_blocks(words, blocks, [&](std::size_t b, std::size_t lo,
+                                         std::size_t hi) {
     std::size_t c = 0;
-    const std::size_t lo = b * kBlock, hi = std::min(words, lo + kBlock);
     for (std::size_t i = lo; i < hi; ++i) c += std::popcount(w[i]);
     block_counts[b] = c;
   });
@@ -118,9 +119,9 @@ void Frontier::to_sparse(engine::TraversalWorkspace& ws) {
       exclusive_scan(block_counts.data(), block_offsets.data(), blocks);
   if (sparse_.capacity() == 0) sparse_ = ws.acquire_vertex_list(total);
   sparse_.resize(total);
-  parallel_for(0, blocks, [&](std::size_t b) {
+  parallel_for_blocks(words, blocks, [&](std::size_t b, std::size_t lo,
+                                         std::size_t hi) {
     std::size_t cursor = block_offsets[b];
-    const std::size_t lo = b * kBlock, hi = std::min(words, lo + kBlock);
     for (std::size_t i = lo; i < hi; ++i) {
       std::uint64_t word = w[i];
       while (word != 0) {

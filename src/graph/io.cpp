@@ -2,11 +2,11 @@
 
 #include <array>
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 #include <string_view>
 
@@ -35,6 +35,18 @@ bool take_vertex_id(std::string_view& sv, vid_t* out) {
   sv.remove_prefix(static_cast<std::size_t>(end - sv.data()));
   return true;
 }
+
+/// Parse the optional weight column, the rest of a trimmed line: nothing
+/// (keeps *out), or one finite float and no further token.  `istream >>
+/// float` read "abc" as 0 and "2.5x" as 2.5 without complaint.
+bool take_weight(std::string_view sv, weight_t* out) {
+  const auto b = sv.find_first_not_of(kWs);
+  if (b == std::string_view::npos) return true;
+  sv.remove_prefix(b);
+  const char* last = sv.data() + sv.size();
+  const auto [end, ec] = std::from_chars(sv.data(), last, *out);
+  return ec == std::errc{} && end == last && std::isfinite(*out);
+}
 }  // namespace
 
 EdgeList load_snap(const std::string& path) {
@@ -55,11 +67,10 @@ EdgeList load_snap(const std::string& path) {
     sv.remove_suffix(sv.size() - 1 - sv.find_last_not_of(kWs));
     if (sv[0] == '#' || sv[0] == '%') continue;
     vid_t src = 0, dst = 0;
-    if (!take_vertex_id(sv, &src) || !take_vertex_id(sv, &dst))
-      fail("parse error at line " + std::to_string(lineno), path);
-    std::istringstream ss{std::string(sv)};
     weight_t w = 1.0f;
-    ss >> w;  // optional third column
+    if (!take_vertex_id(sv, &src) || !take_vertex_id(sv, &dst) ||
+        !take_weight(sv, &w))
+      fail("parse error at line " + std::to_string(lineno), path);
     el.add(src, dst, w);
   }
   return el;

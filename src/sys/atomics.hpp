@@ -10,6 +10,12 @@
 
 namespace grind {
 
+/// Relaxed load of a word other threads may update with the helpers below.
+template <typename T>
+T atomic_load(T& target) {
+  return std::atomic_ref<T>(target).load(std::memory_order_relaxed);
+}
+
 /// Single compare-and-swap; returns true on success.
 template <typename T>
 bool atomic_cas(T& target, T expected, T desired) {

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/test_names.hpp"
 
 #include "algorithms/ref/reference.hpp"
 #include "engine/engine.hpp"
 #include "graph/generators.hpp"
+#include "sys/parallel.hpp"
 
 namespace grind::algorithms {
 namespace {
@@ -37,8 +40,8 @@ TEST_P(BcLayouts, DependenciesMatchBrandesOnRmat) {
 }
 
 // kPartitionedCsr excluded: this graph is built without the pruned CSR,
-// which the forward BFS phase would need; the transposed phase maps every
-// non-sparse sweep to the backward gather, which kBackwardCsc covers.
+// which the forward BFS phase would need.  The layout only steers the
+// forward phase; the backward phase is a pull over the CSR at every layout.
 INSTANTIATE_TEST_SUITE_P(Layouts, BcLayouts,
                          ::testing::Values(Layout::kAuto, Layout::kSparseCsr,
                                            Layout::kBackwardCsc,
@@ -107,6 +110,34 @@ TEST(Bc, RoadNetworkMatchesReference) {
   Engine eng(g);
   const BcResult r = betweenness_centrality(eng, 0);
   expect_bc_match(el, r, 0, 1e-7);
+}
+
+TEST(Bc, PayloadBitIdenticalAcrossThreadCounts) {
+  // The backward pull has one writer per vertex and sums in CSR order, and
+  // σ sums whole numbers, so the whole payload repeats byte for byte at
+  // every thread count.  (The pushed backward pass added doubles with
+  // atomic_add in schedule order and differed on every multi-thread run.)
+  const Graph g = Graph::build(graph::rmat(14, 16, 7));
+  const auto run = [&](int threads) {
+    ThreadCountGuard guard(threads);
+    Engine eng(g);
+    return betweenness_centrality(eng, 3);
+  };
+  const BcResult want = run(1);
+  const auto same_bytes = [](const auto& a, const auto& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(a[0])) == 0;
+  };
+  for (const int threads : {1, 2, 4}) {
+    for (int rep = 0; rep < 3; ++rep) {
+      SCOPED_TRACE(::testing::Message() << threads << " threads, run " << rep);
+      const BcResult got = run(threads);
+      EXPECT_TRUE(same_bytes(got.dependency, want.dependency));
+      EXPECT_TRUE(same_bytes(got.sigma, want.sigma));
+      EXPECT_TRUE(same_bytes(got.level, want.level));
+      EXPECT_EQ(got.rounds, want.rounds);
+    }
+  }
 }
 
 }  // namespace

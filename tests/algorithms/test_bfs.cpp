@@ -4,11 +4,13 @@
 
 #include "common/test_names.hpp"
 
+#include <cstring>
 #include <tuple>
 
 #include "algorithms/ref/reference.hpp"
 #include "engine/engine.hpp"
 #include "graph/generators.hpp"
+#include "sys/parallel.hpp"
 
 namespace grind::algorithms {
 namespace {
@@ -128,6 +130,30 @@ TEST(Bfs, UsesMultipleKernelKindsOnRmat) {
   int kinds = 0;
   for (int k = 0; k < 4; ++k) kinds += s.calls[k] > 0 ? 1 : 0;
   EXPECT_GE(kinds, 2);
+}
+
+TEST(Bfs, LevelBitIdenticalAcrossThreadCounts) {
+  // The claim's winner records the level, so whichever source wins, the
+  // level array repeats byte for byte at every thread count.
+  const Graph g = Graph::build(graph::rmat(14, 16, 7));
+  const auto run = [&](int threads) {
+    ThreadCountGuard guard(threads);
+    Engine eng(g);
+    return bfs(eng, 3);
+  };
+  const BfsResult want = run(1);
+  for (const int threads : {1, 2, 4}) {
+    for (int rep = 0; rep < 3; ++rep) {
+      SCOPED_TRACE(::testing::Message() << threads << " threads, run " << rep);
+      const BfsResult got = run(threads);
+      ASSERT_EQ(got.level.size(), want.level.size());
+      EXPECT_EQ(std::memcmp(got.level.data(), want.level.data(),
+                            want.level.size() * sizeof(want.level[0])),
+                0);
+      EXPECT_EQ(got.reached, want.reached);
+      EXPECT_EQ(got.rounds, want.rounds);
+    }
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include "engine/workspace.hpp"
 #include "graph/generators.hpp"
+#include "sys/parallel.hpp"
 
 namespace grind {
 namespace {
@@ -102,6 +103,30 @@ TEST(Frontier, ToSparseOnLargeDenseFrontier) {
   const auto verts = f.vertices();
   ASSERT_EQ(verts.size(), want.size());
   EXPECT_TRUE(std::equal(verts.begin(), verts.end(), want.begin()));
+}
+
+TEST(Frontier, ToSparseParallelMatchesSerial) {
+  // Over 2 048 words (2 048·64 vertices) the scan is cut into one block per
+  // thread; the odd tail word and the uneven bit pattern put set bits on
+  // every block boundary.
+  const vid_t n = 2048 * 64 * 3 + 45;
+  std::vector<vid_t> want;
+  for (vid_t v = 0; v < n; ++v)
+    if (v % 3 == 0 || v % 64 == 63 || (v / 4096) % 5 == 1) want.push_back(v);
+  for (const int threads : {1, 2, 4}) {
+    SCOPED_TRACE(threads);
+    ThreadCountGuard guard(threads);
+    engine::TraversalWorkspace ws;
+    Bitmap b(n);
+    for (const vid_t v : want) b.set(v);
+    Frontier f = Frontier::from_bitmap(std::move(b));
+    f.to_sparse(ws);
+    EXPECT_FALSE(f.is_dense());
+    EXPECT_EQ(f.num_active(), want.size());
+    const auto verts = f.vertices();
+    ASSERT_EQ(verts.size(), want.size());
+    EXPECT_TRUE(std::equal(verts.begin(), verts.end(), want.begin()));
+  }
 }
 
 TEST(Frontier, ForEachVisitsActiveOnly) {

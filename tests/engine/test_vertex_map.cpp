@@ -111,6 +111,36 @@ TEST(VertexForeach, SparseVisitsListOnly) {
   EXPECT_EQ(count.load(), 3);
 }
 
+TEST(VertexForeachByEdges, VisitsEachActiveVertexOnce) {
+  // Above kSerialCutoff in edge weight, so 2 and 4 threads take the
+  // edge-balanced slices, of a list and of a bitmap; RMAT's few high-degree
+  // vertices sit among the low ids, so the slices differ in length.
+  const Graph g = Graph::build(graph::rmat(12, 8, 3));
+  const vid_t n = g.num_vertices();
+  std::vector<vid_t> active;
+  Bitmap bits(n);
+  for (vid_t v = 0; v < n; v += 3) {
+    active.push_back(v);
+    bits.set(v);
+  }
+  Frontier list = Frontier::from_vertices(n, active, &g.csr());
+  Frontier dense = Frontier::from_bitmap(std::move(bits));
+  dense.recount(&g.csr());
+  ASSERT_GE(list.traversal_weight(), kSerialCutoff);
+  for (const int threads : {1, 2, 4}) {
+    ThreadCountGuard guard(threads);
+    for (const Frontier* f : {&list, &dense}) {
+      SCOPED_TRACE(::testing::Message()
+                   << threads << " threads, dense " << f->is_dense());
+      std::vector<std::atomic<int>> hits(n);
+      vertex_foreach_by_edges(*f, g.csr(), [&](vid_t v) {
+        hits[v].fetch_add(1, std::memory_order_relaxed);
+      });
+      for (vid_t v = 0; v < n; ++v) ASSERT_EQ(hits[v].load(), v % 3 == 0);
+    }
+  }
+}
+
 TEST(VertexForeachAll, CoversAllVertices) {
   std::vector<std::atomic<int>> hits(5000);
   vertex_foreach_all(5000, [&](vid_t v) {

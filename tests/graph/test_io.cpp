@@ -299,6 +299,24 @@ TEST_F(IoTest, SnapNegativeAndReservedIdsThrow) {
   EXPECT_EQ(el.edge(0).src, kInvalidVertex - 1);
 }
 
+TEST_F(IoTest, SnapMalformedWeightThrows) {
+  // The third column must be one finite float: a failed or partial read
+  // once loaded "abc" as weight 0 and "2.5x" as 2.5.
+  const auto path = temp_path("bad_weights.txt");
+  for (const char* line : {"1 2 abc", "1 2 2.5x", "1 2 2.5 7", "1 2 inf",
+                           "1 2 nan", "1 2 1e99"}) {
+    SCOPED_TRACE(line);
+    write_bytes(path, std::string("0 1 3\n") + line + "\n");
+    expect_load_error(load_snap, path, "line 2");
+  }
+  write_bytes(path, "0 1 -0.5\t\r\n1 2 1e-3\n2 0\n");
+  const EdgeList el = load_snap(path);
+  ASSERT_EQ(el.num_edges(), 3u);
+  EXPECT_FLOAT_EQ(el.edge(0).weight, -0.5f);
+  EXPECT_FLOAT_EQ(el.edge(1).weight, 1e-3f);
+  EXPECT_FLOAT_EQ(el.edge(2).weight, 1.0f);
+}
+
 TEST_F(IoTest, MutatedInputsLoadOrThrowTyped) {
   // Seeded mutational fuzzing of both loaders: byte flips and truncations
   // of a small valid .bin and .el, plus the .bin header counts set to 0, 1,

@@ -117,7 +117,7 @@ TEST_F(ServiceFault, SlowWorkerStallTripsDeadline) {
 }
 
 TEST_F(ServiceFault, MidQueryCancelViaEnginePollSite) {
-  // "engine.poll-cancel" fires on the Nth edge-map boundary poll, forcing a
+  // "engine.poll-cancel" fires on the Nth cancellation poll, forcing a
   // deterministic mid-run cancel with no timing dependence.  Every sweep
   // over a non-empty frontier polls twice (edge_map entry + post-sweep), so
   // firing on hit 2k+1 stops the run after exactly k completed sweeps.
@@ -125,27 +125,30 @@ TEST_F(ServiceFault, MidQueryCancelViaEnginePollSite) {
   cfg.workers = 1;
   GraphService svc(build_test_graph(), cfg);
 
-  // BC runs F forward sweeps, then F-1 transposed backward sweeps.  Take F
-  // from an unfaulted run on the same graph and (default) source, and fire
-  // past the forward phase and the first backward sweep, so the cancel
-  // lands in the second transposed sweep.
+  // BC runs F forward sweeps (2F polls), then a backward pull that polls
+  // once per level and runs no sweep.  Take F from an unfaulted run on the
+  // same graph and (default) source, and fire on hit 2F+2, so the cancel
+  // lands in the second pull level with all F sweeps done.
   const QueryResult clean = svc.submit(QueryRequest("BC")).get();
   ASSERT_TRUE(clean.ok()) << clean.error;
-  const int forward = (clean.iterations_done + 1) / 2;
-  ASSERT_GE(forward, 3) << "too shallow for two backward sweeps";
+  const int forward = clean.iterations_done;
+  ASSERT_GE(forward, 3) << "too shallow for two pull levels";
 
   QueryRequest pr("PR");
   pr.params.set("iterations", 50);
   struct Case {
     QueryRequest req;
-    int sweeps;        ///< completed sweeps before the fire
-    int min_progress;  ///< sweeps the run must have got past
+    std::uint64_t polls;  ///< polls that pass before the fire
+    int sweeps;           ///< completed sweeps before the fire
   };
-  const Case cases[] = {{pr, 3, 0}, {QueryRequest("BC"), forward + 1, forward}};
+  const Case cases[] = {
+      {pr, 6, 3},
+      {QueryRequest("BC"), 2 * static_cast<std::uint64_t>(forward) + 1,
+       forward}};
   for (const Case& c : cases) {
     SCOPED_TRACE(c.req.algorithm);
     sys::fault::Spec spec;
-    spec.after = 2 * static_cast<std::uint64_t>(c.sweeps);
+    spec.after = c.polls;
     spec.limit = 1;
     sys::fault::arm("engine.poll-cancel", spec);
 
@@ -156,8 +159,8 @@ TEST_F(ServiceFault, MidQueryCancelViaEnginePollSite) {
     const QueryResult r = svc.submit(std::move(req)).get();
     EXPECT_EQ(r.status, QueryStatus::kCancelled) << r.error;
     EXPECT_EQ(sys::fault::triggered("engine.poll-cancel"), 1u);
+    EXPECT_EQ(sys::fault::hits("engine.poll-cancel"), c.polls + 1);
     EXPECT_EQ(r.iterations_done, c.sweeps);
-    EXPECT_GT(r.iterations_done, c.min_progress);
     EXPECT_TRUE(r.value.empty());
   }
 }

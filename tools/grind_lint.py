@@ -63,6 +63,14 @@ that sit above any single lock:
                            thread-count-dependent weight this way.  The
                            builders use the stable counting scatter
                            (sys/parallel.hpp) or std::stable_sort.
+  omp-outside-runtime      no `#pragma omp`, `<omp.h>` or `omp_` call under
+                           src/ outside src/sys/ and src/engine/ — the
+                           parallel runtime (sys/parallel.hpp) and the
+                           engine's kernels and vertex maps are where
+                           threads are forked; algorithms, graph builders,
+                           partitioners and the service reach parallelism
+                           through their helpers, so the runtime can be
+                           swapped or instrumented in one place.
   service-engine-unleased  no engine::Engine construction in src/service/
                            without a workspace argument — an Engine
                            default-allocates private scratch, so one built
@@ -453,6 +461,33 @@ def scope_engine_and_frontier(rel):
     return rel.startswith("src/engine/") or rel.startswith("src/frontier/")
 
 
+OMP_USE_RE = re.compile(
+    r"#\s*pragma\s+omp\b|#\s*include\s*<omp\.h>|\bomp_\w+\s*\("
+)
+
+
+def rule_omp_outside_runtime(path, text):
+    return [
+        (
+            idx,
+            "OpenMP outside the parallel runtime — fork threads through "
+            "sys/parallel.hpp or an engine helper (vertex_foreach, "
+            "vertex_foreach_by_edges, edge_map), which keep the serial "
+            "cutoffs and the per-thread limits",
+        )
+        for idx, line in enumerate(text.splitlines())
+        if OMP_USE_RE.search(line)
+    ]
+
+
+def scope_outside_runtime(rel):
+    return (
+        rel.startswith("src/")
+        and not rel.startswith("src/sys/")
+        and not rel.startswith("src/engine/")
+    )
+
+
 ENGINE_CTOR_RE = re.compile(
     r"\bengine::Engine\s+\w+\s*\(([^;]*)\)|\bEngine\s+\w+\s*\(([^;]*)\)"
 )
@@ -566,6 +601,13 @@ RULES = [
         rule_unstable_layout_sort,
         False,
         "no std::sort( / parallel_sort( in the CSR/CSC/COO/edge-list builders",
+    ),
+    Rule(
+        "omp-outside-runtime",
+        scope_outside_runtime,
+        rule_omp_outside_runtime,
+        False,
+        "no #pragma omp / <omp.h> / omp_ calls under src/ outside sys/, engine/",
     ),
     Rule(
         "service-engine-unleased",
@@ -895,6 +937,42 @@ SELF_TESTS = [
         "  parallel_sort(order.begin(), order.end(), by_degree);\n"
         "  std::sort(order.begin(), order.end());\n}\n",
         "unstable-layout-sort",
+        False,
+    ),
+    (
+        "omp-outside-runtime fires on a pragma in an algorithm",
+        "src/algorithms/seeded.hpp",
+        "void f(double* x, int n) {\n"
+        "#pragma omp parallel for\n"
+        "  for (int i = 0; i < n; ++i) x[i] = 0;\n}\n",
+        "omp-outside-runtime",
+        True,
+    ),
+    (
+        "omp-outside-runtime fires on omp.h and a thread-id call",
+        "src/frontier/seeded.cpp",
+        "#include <omp.h>\n"
+        "int t() { return omp_get_thread_num(); }\n",
+        "omp-outside-runtime",
+        True,
+    ),
+    (
+        "omp-outside-runtime quiet on helpers, comments and identifiers",
+        "src/algorithms/seeded.hpp",
+        "// #pragma omp parallel would fork here; omp_get_thread_num() too\n"
+        "void f(const Frontier& f, const Csr& out) {\n"
+        "  engine::vertex_foreach_by_edges(f, out, [](vid_t) {});\n"
+        "  const int omp_threads = num_threads();\n}\n",
+        "omp-outside-runtime",
+        False,
+    ),
+    (
+        "omp-outside-runtime out of scope in the runtime and the engine",
+        "src/engine/seeded.hpp",
+        "#include <omp.h>\n"
+        "void f() {\n#pragma omp parallel\n"
+        "  { work(omp_get_thread_num()); }\n}\n",
+        "omp-outside-runtime",
         False,
     ),
     (
